@@ -1,15 +1,14 @@
 """Cold-start benchmark: open-to-first-query across load strategies.
 
 The point of the ``LBRMMAP1`` image is that serving a frozen dataset
-should not pay for decoding it.  Three strategies race from "nothing in
+should not pay for decoding it.  Two strategies race from "nothing in
 memory" to "first query answered" on the LUBM dataset:
 
 * **rebuild** — parse the N-Triples file and ``BitMatStore.build`` the
   indexes from scratch (what ``lbr serve --data`` does);
-* **decode-load** — decode a full ``LBRSTORE2`` image into memory
-  (what ``lbr serve --store data.lbr`` does);
-* **mmap-open** — ``MmapStore.open`` on a frozen ``.lbrm`` image, which
-  maps the file and materializes only the extents the query touches.
+* **mmap-open** — ``open_store`` on a frozen ``.lbrm`` image (what
+  ``lbr serve --store`` does), which maps the file and materializes
+  only the extents the query touches.
 
 The gate: mmap open-to-first-query must be **≥10× faster** than the
 rebuild path, and the first query must leave most predicate extents
@@ -29,8 +28,7 @@ import time
 import pytest
 
 from repro import BitMatStore, LBREngine
-from repro.bitmat.mmapstore import MmapStore, save_mmap_store
-from repro.bitmat.persist import load_store, save_store
+from repro.bitmat import open_store, save_mmap_store
 from repro.rdf import ntriples
 
 OUT_DIR = os.path.join(os.path.dirname(__file__), "out")
@@ -61,11 +59,9 @@ def _timed(action) -> tuple[float, object]:
 def cold_start_report(lubm_graph, tmp_path_factory):
     tmp = tmp_path_factory.mktemp("cold_start")
     data_path = str(tmp / "lubm.nt")
-    store_path = str(tmp / "lubm.lbr")
     frozen_path = str(tmp / "lubm.lbrm")
     ntriples.dump(lubm_graph, data_path)
     source = BitMatStore.build(lubm_graph)
-    save_store(source, store_path)
     save_mmap_store(source, frozen_path)
     query = FIRST_QUERY
 
@@ -73,27 +69,23 @@ def cold_start_report(lubm_graph, tmp_path_factory):
         store = BitMatStore.build(ntriples.load(data_path))
         return store, LBREngine(store).execute(query)
 
-    def decode_load() -> object:
-        store = load_store(store_path)
-        return store, LBREngine(store).execute(query)
-
     def mmap_open() -> object:
-        store = MmapStore.open(frozen_path)
+        store = open_store(frozen_path)
         return store, LBREngine(store).execute(query)
 
     timings: dict[str, list[float]] = {}
     rows: dict[str, list] = {}
     materializations = 0
     for name, strategy in (("rebuild", rebuild),
-                           ("decode_load", decode_load),
                            ("mmap_open", mmap_open)):
         samples = []
         for _ in range(TRIALS):
             elapsed, (store, result) = _timed(strategy)
             samples.append(elapsed)
             rows[name] = sorted(result.rows)
-            if isinstance(store, MmapStore):
-                materializations = store.materializations
+            if name == "mmap_open":
+                materializations = (
+                    store.cache_stats()["extents"]["materializations"])
             store.close()
         timings[name] = samples
 
@@ -104,12 +96,9 @@ def cold_start_report(lubm_graph, tmp_path_factory):
         "query": QUERY_NAME,
         "cold_start": {
             "rebuild_ms": medians["rebuild"] * 1000,
-            "decode_load_ms": medians["decode_load"] * 1000,
             "mmap_open_ms": medians["mmap_open"] * 1000,
             "mmap_speedup_vs_rebuild":
                 medians["rebuild"] / medians["mmap_open"],
-            "mmap_speedup_vs_decode":
-                medians["decode_load"] / medians["mmap_open"],
             "materializations_first_query": materializations,
             "num_predicates": source.num_predicates,
             "num_triples": source.num_triples,
@@ -121,7 +110,6 @@ def cold_start_report(lubm_graph, tmp_path_factory):
         json.dump(report, handle, indent=2, sort_keys=True)
     section = report["cold_start"]
     print(f"\n[cold start: rebuild={section['rebuild_ms']:.1f}ms "
-          f"decode={section['decode_load_ms']:.1f}ms "
           f"mmap={section['mmap_open_ms']:.1f}ms "
           f"speedup={section['mmap_speedup_vs_rebuild']:.1f}x "
           f"extents touched={materializations}"
@@ -138,12 +126,6 @@ def test_mmap_cold_start_beats_rebuild_10x(cold_start_report):
         section
 
 
-def test_mmap_beats_full_decode(cold_start_report):
-    """Mapping must also beat eagerly decoding the LBRSTORE2 image."""
-    section = cold_start_report["cold_start"]
-    assert section["mmap_open_ms"] < section["decode_load_ms"], section
-
-
 def test_first_query_leaves_most_extents_untouched(cold_start_report):
     """The speedup must come from laziness, not a faster decoder: the
     first query materializes only the predicates it names."""
@@ -154,5 +136,5 @@ def test_first_query_leaves_most_extents_untouched(cold_start_report):
 
 def test_every_strategy_returns_the_same_rows(cold_start_report):
     rows = cold_start_report["_rows"]
-    assert rows["rebuild"] == rows["decode_load"] == rows["mmap_open"]
+    assert rows["rebuild"] == rows["mmap_open"]
     assert rows["mmap_open"], "first query returned no rows"

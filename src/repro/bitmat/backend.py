@@ -1,42 +1,32 @@
-"""Pluggable store backends: one protocol, one magic-sniffing opener.
+"""The store surface and the image openers.
 
-Three interchangeable backends serve the engine today —
-:class:`~repro.bitmat.store.BitMatStore` (eager, in-memory),
-:class:`~repro.update.overlay.OverlayStore` (base + delta), and
-:class:`~repro.bitmat.mmapstore.MmapStore` (memory-mapped, lazy).
-:class:`StoreBackend` names the surface they share, so server, CLI,
-and live-update code can hold "a store" without caring which; the
-format registry maps an on-disk magic to its opener, so every load
-path (`BitMatStore.load`, ``lbr query --store``, live-store recovery)
-sniffs the image instead of assuming a format.
+:class:`StoreBackend` names what the engine, server, planner and live
+store consume of a store, so they can hold one without importing the
+concrete :class:`~repro.bitmat.store.BitMatStore` (``repro.plan`` must
+not depend on the engine's store).  There is one store class and one
+image format; what varies is the pair source behind the store
+(:mod:`repro.bitmat.source`).
 
 Openers come in two flavors because the callers do: :func:`open_store`
-works on a real path (and gives ``LBRMMAP1`` images a true ``mmap``),
-while :func:`open_store_bytes` decodes a payload that already lives in
-memory.  :func:`open_image` picks between them behind the
-:class:`~repro.fsio.FileSystem` seam: the production filesystem gets
-the mmap fast path, fault-injection filesystems read through their
-own (crash-countable) ``read_bytes``.
+works on a real path (a true ``mmap``), while :func:`open_store_bytes`
+serves a payload that already lives in memory.  :func:`open_image`
+picks between them behind the :class:`~repro.fsio.FileSystem` seam:
+the production filesystem gets the mmap fast path, fault-injection
+filesystems read through their own (crash-countable) ``read_bytes``.
+All three return a lazily decoding store; anything that is not an
+``LBRMMAP1`` image is a typed :class:`~repro.exceptions.StorageError`.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import TYPE_CHECKING, Callable, Iterator, Protocol, \
-    runtime_checkable
+from typing import TYPE_CHECKING, Iterator, Protocol, runtime_checkable
 
-from ..exceptions import StorageError
 from ..fsio import FileSystem, RealFS
 from ..rdf.dictionary import Dictionary
 from ..rdf.terms import Term, Triple
 from .bitmat import BitMat
 from .bitvec import BitVector
-from .mmapstore import MAGIC as MMAP_MAGIC
-from .mmapstore import MmapStore
-from .persist import _MAGIC as STORE2_MAGIC
-from .persist import _MAGIC_V1 as STORE1_MAGIC
-from .persist import _MAGIC_V3 as STORE3_MAGIC
-from .persist import load_store_bytes
+from .mmapstore import LEGACY_PREFIX, MAGIC, ExtentSource
 from .store import BitMatStore
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -52,7 +42,8 @@ class StoreBackend(Protocol):
     snapshot, or act as the base of an overlay.  The lifecycle trio
     (``retain``/``close``/``frozen``) is part of the contract so
     holders of backing resources (mmap handles) can be reference
-    counted by code that neither knows nor cares which backend it has.
+    counted by code that neither knows nor cares what the store's
+    pair source is.
     """
 
     dictionary: Dictionary
@@ -101,98 +92,38 @@ class StoreBackend(Protocol):
     def cache_stats(self) -> dict[str, dict[str, int]]: ...
 
 
-@dataclass(frozen=True)
-class StoreFormat:
-    """One registered on-disk format: magic plus its openers."""
-
-    magic: bytes
-    name: str
-    #: path opener (None = read the file and use ``open_bytes``);
-    #: formats that map the file (mmap) register one to avoid the copy
-    open_path: Callable[[str], BitMatStore] | None
-    open_bytes: Callable[..., BitMatStore]
-
-
-_FORMATS: list[StoreFormat] = []
-
-
-def register_format(fmt: StoreFormat) -> None:
-    """Register an on-disk store format (first match by magic wins)."""
-    _FORMATS.append(fmt)
-
-
-register_format(StoreFormat(MMAP_MAGIC, "LBRMMAP1",
-                            MmapStore.open, MmapStore.from_bytes))
-register_format(StoreFormat(STORE3_MAGIC, "LBRSTORE3",
-                            None, load_store_bytes))
-register_format(StoreFormat(STORE2_MAGIC, "LBRSTORE2",
-                            None, load_store_bytes))
-register_format(StoreFormat(STORE1_MAGIC, "LBRSTORE1",
-                            None, load_store_bytes))
-
-_SNIFF_LEN = max(len(fmt.magic) for fmt in _FORMATS)
-
-
-def sniff_format(prefix: bytes) -> StoreFormat | None:
-    """The registered format whose magic starts *prefix*, or None."""
-    for fmt in _FORMATS:
-        if prefix.startswith(fmt.magic):
-            return fmt
-    return None
-
-
 def is_store_image(path: str) -> bool:
-    """True when *path* starts with any registered store magic."""
+    """True when *path* starts with a store magic — the current one or
+    the retired one, which :func:`open_store` rejects with a hint."""
     try:
-        # lbr: allow[resource-raw-open]: read-only magic sniff; fault injection targets writes, not 16-byte reads
+        # lbr: allow[resource-raw-open]: read-only magic sniff; fault injection targets writes, not 8-byte reads
         with open(path, "rb") as handle:
-            prefix = handle.read(_SNIFF_LEN)
+            prefix = handle.read(len(MAGIC))
     except OSError:
         return False
-    return sniff_format(prefix) is not None
+    return prefix in (MAGIC, LEGACY_PREFIX)
 
 
 def open_store(path: str) -> BitMatStore:
-    """Open a store image of any registered format (magic-sniffed).
-
-    ``LBRMMAP1`` images come back as a lazily-loading
-    :class:`~repro.bitmat.mmapstore.MmapStore` over a real ``mmap``;
-    ``LBRSTORE1/2`` images decode fully.
-    """
-    try:
-        # lbr: allow[resource-raw-open]: read-only magic sniff on the load path; OSError routes to StorageError
-        with open(path, "rb") as handle:
-            prefix = handle.read(_SNIFF_LEN)
-    except OSError as exc:
-        raise StorageError(
-            f"cannot open store image {path}: {exc}") from exc
-    fmt = sniff_format(prefix)
-    if fmt is None:
-        raise StorageError(f"{path} is not an LBR store image")
-    if fmt.open_path is not None:
-        return fmt.open_path(path)
-    # lbr: allow[resource-raw-open]: read-only bulk load; writes go through fsio, reads need no crash protocol
-    with open(path, "rb") as handle:
-        payload = handle.read()
-    return fmt.open_bytes(payload, path)
+    """Memory-map the image at *path* (lazy; O(dictionary) work)."""
+    source = ExtentSource.open(path)
+    return BitMatStore(source.dictionary, source)
 
 
 def open_store_bytes(payload: bytes,
                      source: str = "<bytes>") -> BitMatStore:
-    """Open a store image already in memory (magic-sniffed)."""
-    fmt = sniff_format(payload[:_SNIFF_LEN])
-    if fmt is None:
-        raise StorageError(f"{source} is not an LBR store image")
-    return fmt.open_bytes(payload, source)
+    """The same lazy store over an image already in memory (no mmap)."""
+    extents = ExtentSource(payload, source)
+    return BitMatStore(extents.dictionary, extents)
 
 
 def open_image(fs: FileSystem, path: str) -> BitMatStore:
     """Open an image through the filesystem seam.
 
     The production :class:`~repro.fsio.RealFS` takes the :func:`open_store`
-    fast path (true ``mmap`` for ``LBRMMAP1``); any other filesystem —
-    in-memory, fault-injecting — reads through its own ``read_bytes``
-    so recovery I/O stays visible to crash injection.
+    fast path (a true ``mmap``); any other filesystem — in-memory,
+    fault-injecting — reads through its own ``read_bytes`` so recovery
+    I/O stays visible to crash injection.
     """
     if isinstance(fs, RealFS):
         return open_store(path)

@@ -1,4 +1,4 @@
-"""Memory-mapped frozen store: the ``LBRMMAP1`` on-disk format.
+"""The store image: the ``LBRMMAP1`` on-disk format, writer and reader.
 
 The paper's layout was designed so each predicate's BitMat is an
 independently loadable compressed slice; ``LBRMMAP1`` gives the store
@@ -8,35 +8,29 @@ exactly that lifecycle on disk.  A frozen dataset is written once as:
   the dictionary counts and triple total, section offsets/lengths, the
   total file length, and CRC32s of the dictionary section, the extent
   index, and the header itself;
-* the dictionary section (the same term-table encoding as
-  ``LBRSTORE2``, via :func:`~repro.bitmat.persist.write_dictionary`),
-  CRC-checked as one unit and decoded eagerly at open;
+* the dictionary section (term tables in id order, via
+  :func:`~repro.bitmat.persist.write_dictionary`), CRC-checked as one
+  unit and decoded eagerly at open;
 * the extent index: one ``(offset, length, pair_count, crc)`` record
   per predicate id, so any predicate's slice is addressable without
   touching the others;
-* (version ≥ 2) a statistics section — u32 length + u32 CRC32 + the
-  varint-encoded per-predicate statistics of
-  :mod:`repro.bitmat.stats` — decoded eagerly at open so the
-  cost-based ordering pass never has to touch an extent; version-1
-  images still load, with statistics absent;
-* per-predicate extents, each starting on a page boundary and holding
-  the predicate's delta-encoded sorted (sid, oid) pairs — byte-for-byte
-  the ``LBRSTORE2`` per-predicate block
+* a statistics section — u32 length + u32 CRC32 + the varint-encoded
+  per-predicate statistics of :mod:`repro.bitmat.stats` — decoded
+  eagerly at open so the cost-based ordering pass never has to touch
+  an extent;
+* per-predicate extents, each starting on a 4 KiB page boundary and
+  holding the predicate's delta-encoded sorted (sid, oid) pairs
   (:func:`~repro.bitmat.persist.write_pairs`) — independently
   CRC-checked at materialization time.
 
-:class:`MmapStore` opens such an image with ``mmap`` and materializes
-predicates lazily: opening validates only the header, dictionary, and
-index (O(dictionary), not O(dataset)); a predicate's pairs are decoded
-on first touch, kept in a bounded striped LRU so hot predicates stay
-decoded, and re-decoded transparently after eviction.  The OS page
+This is the only image format written or read (header version 2).
+:class:`ExtentSource` serves such an image to a
+:class:`~repro.bitmat.store.BitMatStore` and materializes predicates
+lazily: opening validates only the header, dictionary, index and
+statistics (O(dictionary), not O(dataset)); a predicate's pairs are
+decoded on first touch, kept in a bounded striped LRU so hot predicates
+stay decoded, and re-decoded transparently after eviction.  The OS page
 cache does the tiering — untouched predicates never cost RAM or I/O.
-
-Backing resources are reference-counted: the store starts with one
-reference, :meth:`MmapStore.retain` takes another, and the mapping is
-released when the last :meth:`MmapStore.close` drops it — this is what
-lets snapshot retirement close images without yanking them out from
-under in-flight readers.
 """
 
 from __future__ import annotations
@@ -46,30 +40,31 @@ import mmap
 import struct
 import threading
 import zlib
-from typing import Iterator, Mapping
 
 from ..exceptions import StorageError
 from ..fsio import RealFS, atomic_write
 from ..lru import StripedLRUCache
 from .persist import (read_dictionary, read_pairs, write_dictionary,
                       write_pairs)
+from .source import Pairs
 from .stats import StoreStats, read_stats
 from .store import BitMatStore
 
 MAGIC = b"LBRMMAP1"
-#: current written version; version-1 images (no statistics section)
-#: still open — the header's version field is the compatibility switch
+#: the one header version written and read
 VERSION = 2
-_MIN_VERSION = 1
+#: what images of the retired eager format start with — recognized
+#: only so opening one can say what to do about it
+LEGACY_PREFIX = b"LBRSTORE"
 #: statistics section prefix: payload length + payload CRC32
 _STATS_PREFIX = struct.Struct("<II")
-#: default extent alignment: 4 KiB pages
-DEFAULT_PAGE_SHIFT = 12
+#: extent alignment the writer uses: 4 KiB pages (the reader honours
+#: whatever the header's page-shift field says)
+PAGE_SHIFT = 12
 
 #: decoded-extent LRU: hot predicates stay decoded, cold ones re-decode
 EXTENT_CACHE_SIZE = 1024
-#: decoded O-S projection LRU (the eager store uses an unbounded dict,
-#: which would defeat lazy loading here)
+#: decoded O-S projection LRU (bounded, or it would defeat lazy loading)
 OS_PROJECTION_CACHE_SIZE = 512
 
 #: magic, version, page_shift, reserved, then u64s: num_shared,
@@ -86,21 +81,19 @@ _EXTENT = struct.Struct("<QQQI")
 # ----------------------------------------------------------------------
 
 
-def dump_mmap_bytes(store: BitMatStore,
-                    page_shift: int = DEFAULT_PAGE_SHIFT) -> bytes:
-    """Serialize *store* as one ``LBRMMAP1`` image.
+def dump_mmap_bytes(store: BitMatStore) -> bytes:
+    """Serialize *store* (over any pair source) as one image.
 
-    Every predicate's extent starts on a ``1 << page_shift`` boundary,
-    so materializing one predicate touches only its own pages.
+    Every predicate's extent starts on a page boundary, so
+    materializing one predicate touches only its own pages.
     """
-    if not 0 <= page_shift <= 30:
-        raise StorageError(f"unreasonable page shift {page_shift}")
-    page = 1 << page_shift
+    page = 1 << PAGE_SHIFT
 
     def align(position: int) -> int:
         return (position + page - 1) & ~(page - 1)
 
     dictionary = store.dictionary
+    source = store.source
     dict_buffer = io.BytesIO()
     write_dictionary(dict_buffer, dictionary)
     dict_bytes = dict_buffer.getvalue()
@@ -112,7 +105,8 @@ def dump_mmap_bytes(store: BitMatStore,
 
     stats = store.stats()
     if stats is None:
-        stats = StoreStats.collect(store._so_by_p)
+        stats = StoreStats.collect(
+            {pid: source.so_pairs(pid) for pid in source.pids()})
     stats_bytes = stats.to_bytes()
     stats_off = index_off + index_len
 
@@ -121,7 +115,7 @@ def dump_mmap_bytes(store: BitMatStore,
     blobs: list[tuple[int, bytes]] = []
     total_triples = 0
     for pid in range(1, num_predicates + 1):
-        pairs = store._so_by_p.get(pid) or []
+        pairs = source.so_pairs(pid)
         if not pairs:
             extents.append((0, 0, 0, 0))
             continue
@@ -136,7 +130,7 @@ def dump_mmap_bytes(store: BitMatStore,
 
     index_bytes = b"".join(_EXTENT.pack(*extent) for extent in extents)
     header = _HEADER.pack(
-        MAGIC, VERSION, page_shift, 0,
+        MAGIC, VERSION, PAGE_SHIFT, 0,
         dictionary.num_shared, dictionary.num_subjects,
         dictionary.num_objects, num_predicates, total_triples,
         dict_off, len(dict_bytes), index_off, index_len, file_len,
@@ -156,15 +150,13 @@ def dump_mmap_bytes(store: BitMatStore,
     return bytes(image)
 
 
-def save_mmap_store(store: BitMatStore, path: str,
-                    page_shift: int = DEFAULT_PAGE_SHIFT) -> int:
+def save_mmap_store(store: BitMatStore, path: str) -> int:
     """Durably write *store* as an ``LBRMMAP1`` image at *path*.
 
     Uses the shared atomic protocol (temp → fsync → rename → directory
     fsync); returns the number of bytes written.
     """
-    payload = dump_mmap_bytes(store, page_shift)
-    return atomic_write(RealFS(), path, payload)
+    return atomic_write(RealFS(), path, dump_mmap_bytes(store))
 
 
 # ----------------------------------------------------------------------
@@ -172,114 +164,45 @@ def save_mmap_store(store: BitMatStore, path: str,
 # ----------------------------------------------------------------------
 
 
-class _LazyExtentPairs(Mapping):
-    """``pid → sorted (sid, oid) pairs``, decoded per extent on demand.
+class ExtentSource:
+    """The pair source over one validated image buffer.
 
-    Satisfies the mapping contract the engine reads the store through
-    (``get``/``items``/iteration come from the :class:`Mapping`
-    mixins), but only predicates actually touched are ever decoded.
-    Decoded lists live in a bounded striped LRU; eviction is invisible
-    except as a re-decode.  ``materializations`` counts extent decodes
-    — the observable proof of laziness.
+    Only predicates actually touched are ever decoded.  Decoded lists
+    live in bounded striped LRUs; eviction is invisible except as a
+    re-decode.  ``materializations`` counts extent decodes — the
+    observable proof of laziness.
     """
 
-    def __init__(self, buffer, extents: dict[int, tuple[int, int, int, int]],
-                 source: str) -> None:
-        self._buffer = buffer
-        #: pid -> (offset, length, pair_count, crc), non-empty only
-        self._extents = extents
-        self._pids = sorted(extents)
-        self._source = source
-        self._cache: StripedLRUCache[int, list] = (
-            StripedLRUCache(EXTENT_CACHE_SIZE))
-        self._counter_lock = threading.Lock()
-        self.materializations = 0
-        self._closed = False
-
-    def __getitem__(self, pid: int) -> list[tuple[int, int]]:
-        extent = self._extents.get(pid)
-        if extent is None:
-            raise KeyError(pid)
-        cached = self._cache.get(pid)
-        if cached is not None:
-            return cached
-        pairs = self._decode(pid, extent)
-        self._cache.put(pid, pairs)
-        return pairs
-
-    def _decode(self, pid: int,
-                extent: tuple[int, int, int, int]) -> list[tuple[int, int]]:
-        if self._closed:
-            raise StorageError(f"{self._source}: store is closed")
-        offset, length, pair_count, crc = extent
-        blob = bytes(self._buffer[offset:offset + length])
-        if zlib.crc32(blob) != crc:
-            raise StorageError(f"{self._source}: predicate {pid} "
-                               "extent checksum mismatch")
-        data = io.BytesIO(blob)
-        pairs = read_pairs(data)
-        if len(pairs) != pair_count or data.read(1):
-            raise StorageError(f"{self._source}: predicate {pid} "
-                               "extent is corrupt")
-        with self._counter_lock:
-            self.materializations += 1
-        return pairs
-
-    def pair_count(self, pid: int) -> int:
-        """Triples under *pid*, from the index — no decode."""
-        extent = self._extents.get(pid)
-        return 0 if extent is None else extent[2]
-
-    def mark_closed(self) -> None:
-        self._closed = True
-
-    def __iter__(self) -> Iterator[int]:
-        return iter(self._pids)
-
-    def __len__(self) -> int:
-        return len(self._pids)
-
-    def __contains__(self, pid) -> bool:
-        return pid in self._extents
-
-    def stats(self) -> dict[str, int]:
-        report = self._cache.stats()
-        report["materializations"] = self.materializations
-        report["extents"] = len(self._pids)
-        return report
-
-
-class MmapStore(BitMatStore):
-    """A frozen ``LBRMMAP1`` image served with lazy per-predicate decode.
-
-    Construct via :meth:`open` (a real ``mmap`` over the file — the OS
-    page cache backs every extent read) or :meth:`from_bytes` (the same
-    lazy semantics over an in-memory buffer, used by the
-    fault-injection filesystems during recovery testing).
-    """
-
-    def __init__(self, buffer, source: str, *, mapping=None,
+    def __init__(self, buffer, label: str, *, mapping=None,
                  file=None) -> None:
-        if not buffer[:len(MAGIC)] == MAGIC:
-            raise StorageError(f"{source} is not an LBRMMAP1 store image")
+        magic = bytes(buffer[:len(MAGIC)])
+        if magic.startswith(LEGACY_PREFIX):
+            raise StorageError(
+                f"{label} is an LBRSTORE1/2/3 image, a format this "
+                "version no longer reads: rebuild it from the N-Triples "
+                "source with 'lbr freeze'")
+        if magic != MAGIC:
+            raise StorageError(f"{label} is not an LBRMMAP1 store image")
         if len(buffer) < _HEADER.size:
-            raise StorageError(f"{source}: truncated mmap store header")
+            raise StorageError(f"{label}: truncated mmap store header")
         header = bytes(buffer[:_HEADER.size])
         (_, version, page_shift, _reserved, num_shared, num_subjects,
          num_objects, num_predicates, num_triples, dict_off, dict_len,
          index_off, index_len, file_len, dict_crc, index_crc,
          header_crc) = _HEADER.unpack(header)
         if zlib.crc32(header[:-4]) != header_crc:
-            raise StorageError(f"{source}: mmap store header "
+            raise StorageError(f"{label}: mmap store header "
                                "checksum mismatch")
-        if not _MIN_VERSION <= version <= VERSION:
-            raise StorageError(f"{source}: unsupported LBRMMAP version "
-                               f"{version}")
+        if version != VERSION:
+            raise StorageError(
+                f"{label}: unsupported LBRMMAP version {version} (this "
+                f"version reads only {VERSION}): rebuild the image from "
+                "the N-Triples source with 'lbr freeze'")
         if page_shift > 30:
-            raise StorageError(f"{source}: unreasonable page shift "
+            raise StorageError(f"{label}: unreasonable page shift "
                                f"{page_shift}")
         if file_len != len(buffer):
-            raise StorageError(f"{source}: file length mismatch "
+            raise StorageError(f"{label}: file length mismatch "
                                f"(header says {file_len}, have "
                                f"{len(buffer)} — truncated or trailing "
                                "bytes)")
@@ -287,100 +210,80 @@ class MmapStore(BitMatStore):
                 or index_off != dict_off + dict_len
                 or index_len != num_predicates * _EXTENT.size
                 or index_off + index_len > file_len):
-            raise StorageError(f"{source}: corrupt section layout")
+            raise StorageError(f"{label}: corrupt section layout")
 
-        dict_bytes = bytes(buffer[dict_off:dict_off + dict_len])
-        if zlib.crc32(dict_bytes) != dict_crc:
-            raise StorageError(f"{source}: dictionary section "
-                               "checksum mismatch")
-        dict_data = io.BytesIO(dict_bytes)
-        dictionary = read_dictionary(dict_data)
-        if dict_data.read(1):
-            raise StorageError(f"{source}: trailing bytes in "
-                               "dictionary section")
+        dictionary = _read_section(buffer, dict_off, dict_len, dict_crc,
+                                   f"{label}: dictionary section",
+                                   read_dictionary)
         if (dictionary.num_shared != num_shared
                 or dictionary.num_subjects != num_subjects
                 or dictionary.num_objects != num_objects
                 or dictionary.num_predicates != num_predicates):
-            raise StorageError(f"{source}: dictionary counts disagree "
+            raise StorageError(f"{label}: dictionary counts disagree "
                                "with header")
 
         index_bytes = bytes(buffer[index_off:index_off + index_len])
         if zlib.crc32(index_bytes) != index_crc:
-            raise StorageError(f"{source}: extent index "
+            raise StorageError(f"{label}: extent index "
                                "checksum mismatch")
+        # the statistics section sits between the extent index and the
+        # first extent; it is eagerly decoded so ordering decisions
+        # never force an extent materialization
+        stats_off = index_off + index_len + _STATS_PREFIX.size
+        stats_prefix = bytes(buffer[index_off + index_len:stats_off])
+        if len(stats_prefix) < _STATS_PREFIX.size:
+            raise StorageError(f"{label}: truncated statistics section")
+        stats_len, stats_crc = _STATS_PREFIX.unpack(stats_prefix)
+        if stats_off + stats_len > file_len:
+            raise StorageError(f"{label}: statistics section is "
+                               "out of bounds")
+        stats = _read_section(buffer, stats_off, stats_len, stats_crc,
+                              f"{label}: statistics section", read_stats)
+        if stats.predicates and max(stats.predicates) > num_predicates:
+            raise StorageError(f"{label}: statistics refer to "
+                               "unknown predicates")
         page = 1 << page_shift
-        data_start = index_off + index_len
-        stats = None
-        if version >= 2:
-            # the statistics section sits between the extent index and
-            # the first extent; it is eagerly decoded so ordering
-            # decisions never force an extent materialization
-            prefix_end = data_start + _STATS_PREFIX.size
-            prefix = bytes(buffer[data_start:prefix_end])
-            if len(prefix) < _STATS_PREFIX.size:
-                raise StorageError(f"{source}: truncated statistics "
-                                   "section")
-            stats_len, stats_crc = _STATS_PREFIX.unpack(prefix)
-            if prefix_end + stats_len > file_len:
-                raise StorageError(f"{source}: statistics section is "
-                                   "out of bounds")
-            stats_bytes = bytes(buffer[prefix_end:prefix_end + stats_len])
-            if zlib.crc32(stats_bytes) != stats_crc:
-                raise StorageError(f"{source}: statistics section "
-                                   "checksum mismatch")
-            stats_data = io.BytesIO(stats_bytes)
-            stats = read_stats(stats_data)
-            if stats_data.read(1):
-                raise StorageError(f"{source}: trailing bytes in "
-                                   "statistics section")
-            if stats.predicates and max(stats.predicates) > num_predicates:
-                raise StorageError(f"{source}: statistics refer to "
-                                   "unknown predicates")
-            data_start = prefix_end + stats_len
+        data_start = stats_off + stats_len
         extents: dict[int, tuple[int, int, int, int]] = {}
         total = 0
-        for pid in range(1, num_predicates + 1):
-            record = index_bytes[(pid - 1) * _EXTENT.size:
-                                 pid * _EXTENT.size]
-            offset, length, pair_count, crc = _EXTENT.unpack(record)
+        for pid, (offset, length, pair_count, crc) in enumerate(
+                _EXTENT.iter_unpack(index_bytes), start=1):
             if (length == 0) != (pair_count == 0):
-                raise StorageError(f"{source}: predicate {pid} extent "
+                raise StorageError(f"{label}: predicate {pid} extent "
                                    "index entry is inconsistent")
             if not length:
                 continue
             if (offset % page or offset < data_start
                     or offset + length > file_len):
-                raise StorageError(f"{source}: predicate {pid} extent "
+                raise StorageError(f"{label}: predicate {pid} extent "
                                    "is out of bounds")
             extents[pid] = (offset, length, pair_count, crc)
             total += pair_count
         if total != num_triples:
-            raise StorageError(f"{source}: extent index triple count "
+            raise StorageError(f"{label}: extent index triple count "
                                f"{total} disagrees with header "
                                f"{num_triples}")
 
-        self._source = source
+        self.dictionary = dictionary
+        self._buffer = buffer
+        self._label = label
         self._mapping = mapping
         self._file = file
-        self._page_shift = page_shift
-        self._header_triples = num_triples
-        self._pairs = _LazyExtentPairs(buffer, extents, source)
-        self._refs = 1
-        self._refs_lock = threading.Lock()
-        self._os_lru: StripedLRUCache[int, list] = (
-            StripedLRUCache(OS_PROJECTION_CACHE_SIZE))
-        super().__init__(dictionary, self._pairs)
-        # after super().__init__ (which resets _stats): the persisted
-        # statistics, or None for version-1 images (heuristic fallback)
+        #: pid -> (offset, length, pair_count, crc), non-empty only
+        self._extents = extents
+        self._pids = sorted(extents)
+        self._total = num_triples
         self._stats = stats
-
-    # ------------------------------------------------------------------
-    # constructors
-    # ------------------------------------------------------------------
+        self._so_lru: StripedLRUCache[int, Pairs] = (
+            StripedLRUCache(EXTENT_CACHE_SIZE))
+        self._os_lru: StripedLRUCache[int, Pairs] = (
+            StripedLRUCache(OS_PROJECTION_CACHE_SIZE))
+        self._counter_lock = threading.Lock()
+        self.materializations = 0
+        self._closed = False
 
     @classmethod
-    def open(cls, path: str) -> "MmapStore":
+    def open(cls, path: str) -> "ExtentSource":
         """Memory-map the image at *path* (lazy; O(dictionary) work)."""
         try:
             # lbr: allow[resource-raw-open]: mmap.mmap needs a real OS file descriptor; fsio handles cannot provide one
@@ -403,88 +306,85 @@ class MmapStore(BitMatStore):
             file.close()
             raise
 
-    @classmethod
-    def from_bytes(cls, payload: bytes,
-                   source: str = "<bytes>") -> "MmapStore":
-        """The same lazy store over an in-memory buffer (no mmap)."""
-        return cls(payload, source)
+    # -- the PairSource surface ----------------------------------------
 
-    # ------------------------------------------------------------------
-    # laziness hooks (see BitMatStore)
-    # ------------------------------------------------------------------
+    def pids(self) -> list[int]:
+        return self._pids
 
-    def _count_triples(self) -> int:
-        # the header's total: constructing the store must not decode
-        return self._header_triples
+    def so_pairs(self, pid: int) -> Pairs:
+        extent = self._extents.get(pid)
+        if extent is None:
+            return []
+        pairs = self._so_lru.get(pid)
+        if pairs is None:
+            pairs = self._decode(pid, extent)
+            self._so_lru.put(pid, pairs)
+        return pairs
 
-    def _prepare_freeze(self) -> None:
-        # the eager prebuild would materialize every extent; our lazily
-        # derived state already lives behind locked striped LRUs
-        pass
-
-    def _collect_stats(self):
-        # never computed here (it would decode every extent): v2 images
-        # carry their statistics in the header-versioned section, v1
-        # images simply have none and fall back to the heuristic
-        return None
-
-    def _os_pairs(self, pid: int) -> list[tuple[int, int]]:
+    def os_pairs(self, pid: int) -> Pairs:
+        if pid not in self._extents:
+            return []
         pairs = self._os_lru.get(pid)
         if pairs is None:
-            pairs = sorted((oid, sid) for sid, oid in self._so_by_p[pid])
+            pairs = sorted((oid, sid) for sid, oid in self.so_pairs(pid))
             self._os_lru.put(pid, pairs)
         return pairs
 
-    def predicate_count(self, pid: int) -> int:
-        # answered from the extent index without decoding
-        return self._pairs.pair_count(pid)
+    def count(self, pid: int) -> int:
+        extent = self._extents.get(pid)
+        return 0 if extent is None else extent[2]
 
-    def count_matching(self, sid: int | None, pid: int | None,
-                       oid: int | None) -> int:
-        if pid is not None and sid is None and oid is None:
-            return self._pairs.pair_count(pid)
-        return super().count_matching(sid, pid, oid)
+    def total(self) -> int:
+        return self._total
 
-    @property
-    def materializations(self) -> int:
-        """Extent decodes so far — the laziness proof for tests/bench."""
-        return self._pairs.materializations
+    def stats(self) -> StoreStats:
+        return self._stats
 
-    @property
-    def source(self) -> str:
-        """The path (or label) this store was opened from."""
-        return self._source
+    def prepare(self) -> None:
+        # everything lazily derived already sits behind striped LRUs;
+        # a prebuild would materialize every extent
+        pass
 
-    # ------------------------------------------------------------------
-    # reference-counted lifecycle
-    # ------------------------------------------------------------------
-
-    def retain(self) -> "MmapStore":
-        with self._refs_lock:
-            if self._refs == 0:
-                raise StorageError(f"{self._source}: store is closed")
-            self._refs += 1
-        return self
+    def cache_stats(self) -> dict[str, dict[str, int]]:
+        extents = self._so_lru.stats()
+        extents["materializations"] = self.materializations
+        extents["extents"] = len(self._pids)
+        return {"extents": extents, "os_pairs": self._os_lru.stats()}
 
     def close(self) -> None:
-        with self._refs_lock:
-            if self._refs == 0:
-                return
-            self._refs -= 1
-            if self._refs:
-                return
-        self._pairs.mark_closed()
+        self._closed = True
         if self._mapping is not None:
             self._mapping.close()
         if self._file is not None:
             self._file.close()
 
-    @property
-    def closed(self) -> bool:
-        return self._refs == 0
+    def _decode(self, pid: int,
+                extent: tuple[int, int, int, int]) -> Pairs:
+        if self._closed:
+            raise StorageError(f"{self._label}: store is closed")
+        offset, length, pair_count, crc = extent
+        blob = bytes(self._buffer[offset:offset + length])
+        if zlib.crc32(blob) != crc:
+            raise StorageError(f"{self._label}: predicate {pid} "
+                               "extent checksum mismatch")
+        data = io.BytesIO(blob)
+        pairs = read_pairs(data)
+        if len(pairs) != pair_count or data.read(1):
+            raise StorageError(f"{self._label}: predicate {pid} "
+                               "extent is corrupt")
+        with self._counter_lock:
+            self.materializations += 1
+        return pairs
 
-    def cache_stats(self) -> dict[str, dict[str, int]]:
-        report = super().cache_stats()
-        report["extents"] = self._pairs.stats()
-        report["os_pairs"] = self._os_lru.stats()
-        return report
+
+def _read_section(buffer, offset: int, length: int, crc: int,
+                  what: str, reader):
+    """Decode one CRC-checked section; *reader* must consume it whole."""
+    payload = bytes(buffer[offset:offset + length])
+    if zlib.crc32(payload) != crc:
+        raise StorageError(f"{what} checksum mismatch")
+    data = io.BytesIO(payload)
+    value = reader(data)
+    if data.read(1):
+        raise StorageError(f"{what} has trailing bytes")
+    return value

@@ -1,55 +1,24 @@
-"""On-disk persistence for :class:`~repro.bitmat.store.BitMatStore`.
+"""The byte codec shared by everything that persists triples.
 
-The paper stores its ``2|Vp| + |Vs| + |Vo|`` BitMats on disk and loads
-per query only the ones its triple patterns need.  This module gives the
-store the same lifecycle: :func:`save_store` writes a compact binary
-image (dictionary + per-predicate sorted id pairs, from which every
-BitMat family is served), :func:`load_store` maps it back.
-
-The byte-level entry points :func:`dump_store_bytes` /
-:func:`load_store_bytes` separate encoding from file I/O so the live
-update subsystem (:mod:`repro.update`) can route image writes through
-its fault-injectable filesystem, and the term/varint codec
-(:func:`write_varint`, :func:`write_term`, …) is shared with the WAL
-record format so a triple serializes identically in a log record and a
-store image.
-
-Format (little-endian):
-
-* magic ``LBRSTORE2`` + counts (shared, subjects, objects, predicates);
-* term tables in id order: shared terms, subject-only, object-only,
-  predicates — each term as a kind byte plus length-prefixed UTF-8
-  strings (URI/BNode/plain literal/typed literal/language literal);
-* per predicate id: pair count + delta-encoded (sid, oid) varints;
-* (``LBRSTORE3`` only) a per-predicate statistics section
-  (:mod:`repro.bitmat.stats`) feeding the cost-based ordering pass;
-* 4-byte CRC32 of everything before it, so a corrupted image raises a
-  typed :class:`~repro.exceptions.StorageError` instead of silently
-  decoding into a wrong dataset.
-
-The format is header-versioned by magic: writers emit ``LBRSTORE3``;
-images with the older ``LBRSTORE2`` (no statistics section) and
-``LBRSTORE1`` (no trailing CRC either) magics still load, with
-statistics absent — the optimizer then falls back to the static
-selectivity heuristic.
+Unsigned LEB128 varints, RDF terms (a kind byte plus length-prefixed
+UTF-8 strings: URI/BNode/plain literal/typed literal/language literal),
+delta-encoded sorted id-pair blocks, and dictionary term tables.  The
+store image (:mod:`repro.bitmat.mmapstore`) is assembled from the
+dictionary and pair blocks, its statistics section
+(:mod:`repro.bitmat.stats`) from the varints, and the write-ahead log
+(:mod:`repro.update.wal`) from the varints and terms — so a triple
+serializes identically in a log record and a store image.  Every
+decoder raises a typed :class:`~repro.exceptions.StorageError` on
+truncated or malformed input.
 """
 
 from __future__ import annotations
 
-import io
-import struct
-import zlib
 from typing import BinaryIO
 
 from ..exceptions import StorageError
-from ..fsio import RealFS, atomic_write
 from ..rdf.dictionary import Dictionary
 from ..rdf.terms import BNode, Literal, Term, URI
-from .store import BitMatStore
-
-_MAGIC_V3 = b"LBRSTORE3"
-_MAGIC = b"LBRSTORE2"
-_MAGIC_V1 = b"LBRSTORE1"
 
 #: LEB128 length cap: 10 bytes carry 70 payload bits, enough for any
 #: 64-bit count; a longer run of continuation bits is always corruption
@@ -157,19 +126,8 @@ def read_term(data: BinaryIO) -> Term:
     raise StorageError(f"unknown term kind {kind}")
 
 
-# backwards-compatible private aliases (pre-update-subsystem names)
-_write_varint = write_varint
-_read_varint = read_varint
-_write_term = write_term
-_read_term = read_term
-
-
 def write_pairs(out: BinaryIO, pairs: list[tuple[int, int]]) -> None:
-    """One per-predicate block: pair count + delta-encoded (sid, oid).
-
-    Shared between the ``LBRSTORE*`` body and each ``LBRMMAP1`` extent,
-    so a predicate's bytes are identical in both formats.
-    """
+    """One per-predicate block: pair count + delta-encoded (sid, oid)."""
     write_varint(out, len(pairs))
     previous_sid = 0
     previous_oid = 0
@@ -232,87 +190,3 @@ def read_dictionary(data: BinaryIO) -> Dictionary:
     for _ in range(num_predicates):
         dictionary._add_predicate(read_term(data))
     return dictionary
-
-
-def dump_store_bytes(store: BitMatStore,
-                     include_stats: bool = True) -> bytes:
-    """Serialize the store to one self-verifying byte image.
-
-    Writes ``LBRSTORE3`` (pairs + per-predicate statistics section);
-    ``include_stats=False`` emits the legacy ``LBRSTORE2`` layout —
-    kept for the corruption corpus and as the byte-exact v2 reference.
-    Statistics already collected at freeze time are reused; otherwise
-    they are computed here so every written image carries them.
-    """
-    from .stats import StoreStats, write_stats
-    buffer = io.BytesIO()
-    buffer.write(_MAGIC_V3 if include_stats else _MAGIC)
-    write_dictionary(buffer, store.dictionary)
-    for pid in range(1, store.dictionary.num_predicates + 1):
-        write_pairs(buffer, store._so_by_p.get(pid, []))
-    if include_stats:
-        stats = store.stats()
-        if stats is None:
-            stats = StoreStats.collect(store._so_by_p)
-        write_stats(buffer, stats)
-    body = buffer.getvalue()
-    return body + struct.pack("<I", zlib.crc32(body))
-
-
-def load_store_bytes(payload: bytes,
-                     source: str = "<bytes>") -> BitMatStore:
-    """Deserialize an image produced by :func:`dump_store_bytes`."""
-    from .stats import read_stats
-    has_stats = payload.startswith(_MAGIC_V3)
-    if has_stats or payload.startswith(_MAGIC):
-        if len(payload) < len(_MAGIC) + 4:
-            raise StorageError(f"{source}: truncated store image")
-        body, footer = payload[:-4], payload[-4:]
-        expected = struct.unpack("<I", footer)[0]
-        if zlib.crc32(body) != expected:
-            raise StorageError(f"{source}: store image checksum mismatch")
-        data = io.BytesIO(body)
-        data.read(len(_MAGIC))
-    elif payload.startswith(_MAGIC_V1):
-        data = io.BytesIO(payload)
-        data.read(len(_MAGIC_V1))
-    else:
-        raise StorageError(f"{source} is not an LBR store image")
-    dictionary = read_dictionary(data)
-    so_by_p: dict[int, list[tuple[int, int]]] = {}
-    for pid in range(1, dictionary.num_predicates + 1):
-        pairs = read_pairs(data)
-        if pairs:
-            so_by_p[pid] = pairs
-    stats = read_stats(data) if has_stats else None
-    if stats is not None and stats.predicates:
-        if max(stats.predicates) > dictionary.num_predicates:
-            raise StorageError(f"{source}: statistics refer to unknown "
-                               "predicates")
-    # the section parsers must land exactly on the end of the payload:
-    # leftover bytes mean a truncated/concatenated image whose tail the
-    # CRC (v2/v3) happened to cover, or a v1 image with garbage appended
-    if data.read(1):
-        raise StorageError(f"{source}: trailing bytes after store image")
-    store = BitMatStore(dictionary, so_by_p)
-    store._stats = stats
-    return store
-
-
-def save_store(store: BitMatStore, path: str) -> int:
-    """Write the store to *path*; returns the number of bytes written.
-
-    Routed through the shared atomic-write protocol (temp → fsync →
-    rename → directory fsync) so a crash mid-save can never leave a
-    torn image at the final name.
-    """
-    payload = dump_store_bytes(store)
-    return atomic_write(RealFS(), path, payload)
-
-
-def load_store(path: str) -> BitMatStore:
-    """Read a store previously written by :func:`save_store`."""
-    # lbr: allow[resource-raw-open]: read-only load path; the matching save_store goes through fsio.atomic_write
-    with open(path, "rb") as handle:
-        payload = handle.read()
-    return load_store_bytes(payload, source=path)

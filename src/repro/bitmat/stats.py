@@ -8,9 +8,8 @@ its fan-out is (a hub-heavy predicate multiplies intermediate rows even
 when its cardinality looks tame).  This module collects exactly that —
 per-predicate cardinality, distinct-subject/object counts, and log2
 fan-out histograms in both directions — at :meth:`BitMatStore.freeze`
-time, and gives it a compact varint encoding so both on-disk formats
-(``LBRSTORE3`` bodies, ``LBRMMAP`` v2 stats sections) persist it
-byte-identically.
+time, and gives it the compact varint encoding of the store image's
+statistics section.
 
 Histograms use log2 buckets: bucket *i* counts groups (one subject's
 objects, or one object's subjects) whose size falls in ``[2^i,
@@ -28,6 +27,9 @@ from dataclasses import dataclass
 from itertools import groupby
 from operator import itemgetter
 from typing import BinaryIO, Mapping
+
+from ..exceptions import StorageError
+from .persist import read_varint, write_varint
 
 
 def _log2_bucket(size: int) -> int:
@@ -125,21 +127,18 @@ class StoreStats:
 
 
 def _write_histogram(out: BinaryIO, hist: tuple[int, ...]) -> None:
-    from .persist import write_varint
     write_varint(out, len(hist))
     for count in hist:
         write_varint(out, count)
 
 
 def _read_histogram(data: BinaryIO) -> tuple[int, ...]:
-    from .persist import read_varint
     length = read_varint(data)
     return tuple(read_varint(data) for _ in range(length))
 
 
 def write_stats(out: BinaryIO, stats: StoreStats) -> None:
-    """Append one statistics section (shared by both image formats)."""
-    from .persist import write_varint
+    """Append one statistics section."""
     write_varint(out, len(stats.predicates))
     for pid in sorted(stats.predicates):
         pred = stats.predicates[pid]
@@ -158,8 +157,6 @@ def read_stats(data: BinaryIO) -> StoreStats:
     corruption (the outer CRC has already vouched for the bytes; this
     guards the *semantic* invariants a valid collector maintains).
     """
-    from ..exceptions import StorageError
-    from .persist import read_varint
     count = read_varint(data)
     predicates: dict[int, PredicateStats] = {}
     previous_pid = 0

@@ -2,9 +2,12 @@
 
 The paper stores ``2·|Vp| + |Vs| + |Vo|`` BitMats on disk — S-O and O-S
 per predicate, P-O per subject, P-S per object — and loads, per query,
-only the BitMats matching its triple patterns.  This store keeps the
+only the BitMats matching its triple patterns.  This store reads the
 encoded dataset as per-predicate sorted id pairs (the S-O and O-S
-projections) and materializes compressed BitMats on demand:
+projections) from a :class:`~repro.bitmat.source.PairSource` — decoded
+lists in memory, the lazily decoded extents of an on-disk image, or
+another store's source merged with a delta — and materializes
+compressed BitMats on demand:
 
 * ``(?a :p ?b)``    → the S-O or O-S BitMat of ``:p``;
 * ``(?v :p :o)``    → one row of the P-S BitMat of ``:o`` — served by a
@@ -22,6 +25,7 @@ computed streaming by :meth:`BitMatStore.index_size_report`.
 
 from __future__ import annotations
 
+import threading
 from bisect import bisect_left
 from typing import Iterable
 
@@ -32,6 +36,7 @@ from ..rdf.graph import Graph
 from ..rdf.terms import Term, Triple
 from .bitmat import BitMat
 from .bitvec import BitVector
+from .source import MemorySource, PairSource
 
 #: Bounded cache sizes for the on-demand BitMat materializations.  The
 #: per-predicate matrices are few but large (one per predicate of the
@@ -43,17 +48,35 @@ ENTITY_CACHE_SIZE = 256
 
 
 class BitMatStore:
-    """Dictionary-encoded dataset plus on-demand compressed BitMats."""
+    """Dictionary-encoded dataset plus on-demand compressed BitMats.
 
-    def __init__(self, dictionary: Dictionary,
-                 so_by_p: dict[int, list[tuple[int, int]]]) -> None:
+    The one concrete store: what differs between an in-memory build, an
+    opened image and a delta overlay is the *source* it reads pairs
+    from.  An overlay also names its *parent* (the store it was laid
+    over) and the predicates its delta *touched*: every other
+    predicate's BitMats are the parent's, and are served from the
+    parent's warm caches.
+    """
+
+    def __init__(self, dictionary: Dictionary, source: PairSource,
+                 parent: "BitMatStore | None" = None,
+                 touched: frozenset = frozenset()) -> None:
         self.dictionary = dictionary
-        #: per-predicate (sid, oid) pairs sorted by (sid, oid) — any
-        #: Mapping; lazily-decoding backends substitute their own
-        self._so_by_p = so_by_p
-        #: per-predicate (oid, sid) pairs sorted by (oid, sid), built lazily
-        self._os_by_p: dict[int, list[tuple[int, int]]] = {}
-        self._triple_count = self._count_triples()
+        self.source = source
+        self._triple_count = source.total()
+        #: retained until the last close(): its source backs ours
+        self._parent = parent.retain() if parent is not None else None
+        self._touched = touched
+        #: matrices carry their dimensions, so the parent's are reusable
+        #: only while the overlay's new terms have not grown them
+        self._parent_dims = parent is not None and (
+            dictionary.num_subjects == parent.num_subjects
+            and dictionary.num_objects == parent.num_objects
+            and dictionary.num_predicates == parent.num_predicates)
+        #: references to the backing resources: born at one (the
+        #: creator's), the source is closed when the last is dropped
+        self._refs = 1
+        self._refs_lock = threading.Lock()
         # Warm-cache behaviour (§6.1 runs every query once to warm the
         # caches before measuring): every materialization is immutable —
         # pruning `unfold`s into fresh objects — so it is shared across
@@ -69,15 +92,6 @@ class BitMatStore:
         #: set by :meth:`freeze` when the store was published for
         #: concurrent read-only serving
         self._frozen = False
-        #: per-predicate statistics (:class:`~repro.bitmat.stats.StoreStats`),
-        #: collected at freeze time or decoded from a stats-bearing image;
-        #: None means the cost-based ordering pass falls back to the
-        #: static heuristic
-        self._stats = None
-
-    # ------------------------------------------------------------------
-    # construction
-    # ------------------------------------------------------------------
 
     @classmethod
     def build(cls, graph: Graph,
@@ -91,35 +105,7 @@ class BitMatStore:
             so_by_p.setdefault(pid, []).append((sid, oid))
         for pairs in so_by_p.values():
             pairs.sort()
-        return cls(dictionary, so_by_p)
-
-    def save(self, path: str) -> int:
-        """Persist the store to disk; returns bytes written."""
-        from .persist import save_store
-        return save_store(self, path)
-
-    @classmethod
-    def load(cls, path: str) -> "BitMatStore":
-        """Open a store image of any known format (magic-sniffed).
-
-        ``LBRMMAP1`` images come back as a lazily-loading
-        :class:`~repro.bitmat.mmapstore.MmapStore`; ``LBRSTORE1/2``
-        decode fully into a plain :class:`BitMatStore`.
-        """
-        from .backend import open_store
-        return open_store(path)
-
-    def _count_triples(self) -> int:
-        """Total triples; backends with cheaper metadata override this
-        so constructing the store does not force a full decode."""
-        return sum(len(pairs) for pairs in self._so_by_p.values())
-
-    def _os_pairs(self, pid: int) -> list[tuple[int, int]]:
-        pairs = self._os_by_p.get(pid)
-        if pairs is None:
-            pairs = sorted((oid, sid) for sid, oid in self._so_by_p[pid])
-            self._os_by_p[pid] = pairs
-        return pairs
+        return cls(dictionary, MemorySource(so_by_p))
 
     # ------------------------------------------------------------------
     # basic statistics
@@ -149,7 +135,7 @@ class BitMatStore:
 
     def predicate_count(self, pid: int) -> int:
         """Triples with predicate id *pid*."""
-        return len(self._so_by_p.get(pid, ()))
+        return self.source.count(pid)
 
     def count_matching(self, sid: int | None, pid: int | None,
                        oid: int | None) -> int:
@@ -160,44 +146,47 @@ class BitMatStore:
         the paper's "condensed representation ... helps us in quickly
         determining the number of triples in each BitMat".
         """
-        if pid is not None:
-            pairs = self._so_by_p.get(pid)
-            if pairs is None:
-                return 0
-            if sid is None and oid is None:
-                return len(pairs)
-            if sid is not None and oid is None:
-                return _range_len(pairs, sid)
-            if oid is not None and sid is None:
-                return _range_len(self._os_pairs(pid), oid)
-            lo = bisect_left(pairs, (sid, oid))
-            return int(lo < len(pairs) and pairs[lo] == (sid, oid))
-        total = 0
-        for other_pid in self._so_by_p:
-            total += self.count_matching(sid, other_pid, oid)
-        return total
+        source = self.source
+        if pid is None:
+            return sum(self.count_matching(sid, other_pid, oid)
+                       for other_pid in source.pids())
+        if sid is None and oid is None:
+            return source.count(pid)
+        if oid is None:
+            return _range_len(source.so_pairs(pid), sid)
+        if sid is None:
+            return _range_len(source.os_pairs(pid), oid)
+        return int(self.has_triple(sid, pid, oid))
 
     # ------------------------------------------------------------------
     # BitMat loading (the init() of Alg 5.1)
     # ------------------------------------------------------------------
 
+    def _inherits(self, pid: int) -> bool:
+        """Are the parent's BitMats of *pid* also this store's?"""
+        return self._parent_dims and pid not in self._touched
+
     def load_so(self, pid: int) -> BitMat:
         """S-O BitMat of a predicate: rows are subjects, cols are objects."""
+        if self._inherits(pid):
+            return self._parent.load_so(pid)
         cached = self._so_cache.get(pid)
         if cached is None:
-            pairs = self._so_by_p.get(pid, [])
-            cached = BitMat.from_sorted_pairs(self.num_subjects + 1,
-                                              self.num_objects + 1, pairs)
+            cached = BitMat.from_sorted_pairs(
+                self.num_subjects + 1, self.num_objects + 1,
+                self.source.so_pairs(pid))
             self._so_cache.put(pid, cached)
         return cached
 
     def load_os(self, pid: int) -> BitMat:
         """O-S BitMat of a predicate (transpose of :meth:`load_so`)."""
+        if self._inherits(pid):
+            return self._parent.load_os(pid)
         cached = self._os_cache.get(pid)
         if cached is None:
-            pairs = self._os_pairs(pid) if pid in self._so_by_p else []
-            cached = BitMat.from_sorted_pairs(self.num_objects + 1,
-                                              self.num_subjects + 1, pairs)
+            cached = BitMat.from_sorted_pairs(
+                self.num_objects + 1, self.num_subjects + 1,
+                self.source.os_pairs(pid))
             self._os_cache.put(pid, cached)
         return cached
 
@@ -206,36 +195,33 @@ class BitMatStore:
 
         The subjects ``?v`` matching ``(?v  pid  oid)``.
         """
+        if self._inherits(pid):
+            return self._parent.load_ps_row(pid, oid)
         key = ("ps", pid, oid)
         cached = self._row_cache.get(key)
-        if cached is not None:
-            return cached
-        if pid not in self._so_by_p:
-            vec = BitVector.empty(self.num_subjects + 1)
-        else:
-            pairs = self._os_pairs(pid)
+        if cached is None:
+            pairs = self.source.os_pairs(pid)
             sids = [sid for _, sid in _iter_range(pairs, oid)]
-            vec = BitVector.from_positions(self.num_subjects + 1, sids)
-        self._row_cache.put(key, vec)
-        return vec
+            cached = BitVector.from_positions(self.num_subjects + 1, sids)
+            self._row_cache.put(key, cached)
+        return cached
 
     def load_po_row(self, pid: int, sid: int) -> BitVector:
         """Row *pid* of the P-O BitMat of subject *sid*.
 
         The objects ``?v`` matching ``(sid  pid  ?v)``.
         """
+        if self._inherits(pid):
+            return self._parent.load_po_row(pid, sid)
         key = ("po", pid, sid)
         cached = self._row_cache.get(key)
-        if cached is not None:
-            return cached
-        pairs = self._so_by_p.get(pid)
-        if pairs is None:
-            vec = BitVector.empty(self.num_objects + 1)
-        else:
+        if cached is None:
+            pairs = self.source.so_pairs(pid)
             oids = [oid for _, oid in _iter_range(pairs, sid)]
-            vec = BitVector.from_sorted_positions(self.num_objects + 1, oids)
-        self._row_cache.put(key, vec)
-        return vec
+            cached = BitVector.from_sorted_positions(self.num_objects + 1,
+                                                     oids)
+            self._row_cache.put(key, cached)
+        return cached
 
     def load_ps(self, oid: int) -> BitMat:
         """Full P-S BitMat of object *oid*: rows predicates, cols subjects.
@@ -250,8 +236,9 @@ class BitMatStore:
             return cached
         width = self.num_subjects + 1
         rows: dict[int, BitVector] = {}
-        for pid in self._so_by_p:
-            sids = [sid for _, sid in _iter_range(self._os_pairs(pid), oid)]
+        source = self.source
+        for pid in source.pids():
+            sids = [sid for _, sid in _iter_range(source.os_pairs(pid), oid)]
             if sids:
                 rows[pid] = BitVector.from_positions(width, sids)
         matrix = BitMat(self.num_predicates + 1, width, rows)
@@ -269,8 +256,9 @@ class BitMatStore:
             return cached
         width = self.num_objects + 1
         rows: dict[int, BitVector] = {}
-        for pid, pairs in self._so_by_p.items():
-            oids = [oid for _, oid in _iter_range(pairs, sid)]
+        source = self.source
+        for pid in source.pids():
+            oids = [oid for _, oid in _iter_range(source.so_pairs(pid), sid)]
             if oids:
                 rows[pid] = BitVector.from_sorted_positions(width, oids)
         matrix = BitMat(self.num_predicates + 1, width, rows)
@@ -280,9 +268,11 @@ class BitMatStore:
     def freeze(self) -> "BitMatStore":
         """Prepare the store for concurrent read-only serving.
 
-        Pre-builds every lazily derived projection (the per-predicate
-        O-S pair lists, otherwise built on first touch — a mutation
-        concurrent readers must never observe mid-build) and swaps
+        Runs the source's pre-publication hook (an in-memory source
+        pre-builds its O-S pair lists, otherwise built on first touch —
+        a mutation concurrent readers must never observe mid-build —
+        and collects statistics; sources whose derived state already
+        sits behind locked caches do nothing) and swaps
         every LRU for a lock-striped variant.  After this, cache
         insertion is the only write on any read path, and it is locked;
         the BitMat materializations themselves are immutable (pruning
@@ -293,9 +283,7 @@ class BitMatStore:
         """
         if self._frozen:
             return self
-        self._prepare_freeze()
-        if self._stats is None:
-            self._stats = self._collect_stats()
+        self.source.prepare()
         self._so_cache = StripedLRUCache(MATRIX_CACHE_SIZE)
         self._os_cache = StripedLRUCache(MATRIX_CACHE_SIZE)
         self._row_cache = StripedLRUCache(ROW_CACHE_SIZE)
@@ -304,31 +292,14 @@ class BitMatStore:
         self._frozen = True
         return self
 
-    def _prepare_freeze(self) -> None:
-        """Pre-build lazily derived state that concurrent readers must
-        never observe mid-build.  Lazy backends whose derived state is
-        already behind locked caches override this to skip the prebuild
-        (it would defeat their laziness)."""
-        for pid in list(self._so_by_p):
-            self._os_pairs(pid)
-
-    def _collect_stats(self):
-        """Compute per-predicate statistics from the pair lists.
-
-        Backends whose pairs are expensive to touch wholesale override
-        this: lazy mmap stores return whatever their image persisted
-        (decoding every extent would defeat laziness), overlays return
-        None (delta-adjusted statistics are future work — ROADMAP 3)."""
-        from .stats import StoreStats
-        return StoreStats.collect(self._so_by_p)
-
     def stats(self):
-        """Per-predicate statistics, or None when never collected.
+        """Per-predicate statistics, or None when the source has none.
 
-        Present only on frozen stores and stats-bearing images; the
-        cost-based ordering pass treats None as "use the static
-        selectivity heuristic"."""
-        return self._stats
+        Collected by ``freeze()`` on in-memory stores, read from the
+        image on opened ones, absent on overlays; the cost-based
+        ordering pass treats None as "use the static selectivity
+        heuristic"."""
+        return self.source.stats()
 
     @property
     def frozen(self) -> bool:
@@ -342,33 +313,46 @@ class BitMatStore:
     def retain(self) -> "BitMatStore":
         """Take one more reference to this store's backing resources.
 
-        A plain in-memory store has none, so this is a no-op; mmap-backed
-        stores count references and unmap when the last is closed.
-        Every ``retain()`` must be paired with one :meth:`close`.
-        Returns ``self`` so call sites can retain-and-pass in one
-        expression.
+        Every ``retain()`` must be paired with one :meth:`close`; this
+        is what lets snapshot retirement close images without yanking
+        them out from under in-flight readers.  Returns ``self`` so
+        call sites can retain-and-pass in one expression.
         """
+        with self._refs_lock:
+            if not self._refs:
+                raise StorageError("retain() on a closed store")
+            self._refs += 1
         return self
 
     def close(self) -> None:
-        """Release one reference (no-op for in-memory stores)."""
+        """Release one reference; the last one closes the source (an
+        opened image unmaps) and then lets go of the parent, which a
+        merged source reads through for as long as it lives."""
+        with self._refs_lock:
+            if not self._refs:
+                return
+            self._refs -= 1
+            if self._refs:
+                return
+        self.source.close()
+        if self._parent is not None:
+            self._parent.close()
 
     @property
     def closed(self) -> bool:
-        """True once the backing resources have been released."""
-        return False
+        """True once the last reference has been released."""
+        return not self._refs
 
     def cache_stats(self) -> dict[str, dict[str, int]]:
         """Hit/miss/eviction counters of every store-level cache."""
         return {"so": self._so_cache.stats(), "os": self._os_cache.stats(),
                 "rows": self._row_cache.stats(),
-                "entities": self._entity_cache.stats()}
+                "entities": self._entity_cache.stats(),
+                **self.source.cache_stats()}
 
     def has_triple(self, sid: int, pid: int, oid: int) -> bool:
         """Membership test for a fully ground pattern."""
-        pairs = self._so_by_p.get(pid)
-        if pairs is None:
-            return False
+        pairs = self.source.so_pairs(pid)
         lo = bisect_left(pairs, (sid, oid))
         return lo < len(pairs) and pairs[lo] == (sid, oid)
 
@@ -379,7 +363,7 @@ class BitMatStore:
         ``V_so`` region — the ids matching a ``(?v  pid  ?v)`` pattern
         (same variable on S and O).
         """
-        return [sid for sid, oid in self._so_by_p.get(pid, ())
+        return [sid for sid, oid in self.source.so_pairs(pid)
                 if sid == oid and sid <= self.num_shared]
 
     def iter_triples(self):
@@ -389,9 +373,9 @@ class BitMatStore:
         yields a store whose visible dataset is exactly this one's.
         """
         dictionary = self.dictionary
-        for pid in sorted(self._so_by_p):
+        for pid in sorted(self.source.pids()):
             p_term = dictionary.predicate_term(pid)
-            for sid, oid in self._so_by_p[pid]:
+            for sid, oid in self.source.so_pairs(pid):
                 yield Triple(dictionary.subject_term(sid), p_term,
                              dictionary.object_term(oid))
 
@@ -408,7 +392,7 @@ class BitMatStore:
         hybrid = {"so": 0, "os": 0, "po": 0, "ps": 0}
         rle = {"so": 0, "os": 0, "po": 0, "ps": 0}
 
-        for pid in self._so_by_p:
+        for pid in self.source.pids():
             so = self.load_so(pid)
             hybrid["so"] += so.storage_bytes()
             rle["so"] += so.rle_bytes()
@@ -419,8 +403,8 @@ class BitMatStore:
         # P-O per subject and P-S per object, built streaming.
         po_rows: dict[int, dict[int, list[int]]] = {}
         ps_rows: dict[int, dict[int, list[int]]] = {}
-        for pid, pairs in self._so_by_p.items():
-            for sid, oid in pairs:
+        for pid in self.source.pids():
+            for sid, oid in self.source.so_pairs(pid):
                 po_rows.setdefault(sid, {}).setdefault(pid, []).append(oid)
                 ps_rows.setdefault(oid, {}).setdefault(pid, []).append(sid)
         for family, per_entity, width in (

@@ -3,9 +3,10 @@
 Commands:
 
 * ``generate`` — write one of the evaluation datasets as N-Triples;
-* ``index``    — build a BitMat store image from an N-Triples file;
-* ``freeze``   — write the memory-mapped ``LBRMMAP1`` image whose
-  per-predicate extents ``serve --mmap`` materializes lazily;
+* ``freeze``   — build the store image (``LBRMMAP1``, the only
+  format) from an N-Triples file: per-predicate extents that every
+  ``--store`` command maps and materializes lazily (``index`` is an
+  alias);
 * ``query``    — run a SPARQL query over a data file or store image;
 * ``info``     — dataset characteristics (the Table 6.1 columns);
 * ``bench``    — run a full Appendix E query suite with all engines
@@ -32,10 +33,11 @@ import sys
 
 from . import __version__
 from .baselines import ColumnStoreEngine, NaiveEngine
+from .bitmat.backend import is_store_image, open_store
+from .bitmat.mmapstore import PAGE_SHIFT, save_mmap_store
 from .bitmat.store import BitMatStore
 from .core.engine import LBREngine
 from .rdf import ntriples
-from .rdf.graph import Graph
 from .rdf.terms import NULL
 
 
@@ -58,32 +60,25 @@ def _build_parser() -> argparse.ArgumentParser:
                           help="relative size multiplier (default 1.0)")
     generate.add_argument("--seed", type=int, default=None)
 
-    index = commands.add_parser(
-        "index", help="build a BitMat store image from N-Triples")
-    index.add_argument("data", help="input N-Triples file")
-    index.add_argument("--out", required=True, help="store image path")
-
     freeze = commands.add_parser(
-        "freeze",
-        help="write a memory-mapped frozen store image (LBRMMAP1)",
-        description="Build (or convert) a dataset into the LBRMMAP1 "
-                    "format: each predicate's BitMat pairs live in an "
+        "freeze", aliases=["index"],
+        help="build the store image (LBRMMAP1) from N-Triples",
+        description="Build a dataset into the LBRMMAP1 store image: "
+                    "each predicate's BitMat pairs live in an "
                     "independently checksummed, page-aligned extent, so "
-                    "'serve --mmap' opens the file without decoding "
-                    "anything and materializes predicates lazily as "
-                    "queries touch them.")
+                    "every --store command opens the file without "
+                    "decoding anything and materializes predicates "
+                    "lazily as queries touch them.  'index' is an "
+                    "alias.")
     freeze.add_argument("data",
-                        help="N-Triples file or LBRSTORE/LBRMMAP image")
+                        help="N-Triples file (or an image to rewrite)")
     freeze.add_argument("--out", required=True,
                         help="output .lbrm image path")
-    freeze.add_argument("--page-shift", type=int, default=12,
-                        help="log2 of the extent alignment "
-                             "(default 12 = 4 KiB pages)")
 
     query = commands.add_parser("query", help="run a SPARQL query")
     source = query.add_mutually_exclusive_group(required=True)
     source.add_argument("--data", help="N-Triples file")
-    source.add_argument("--store", help="BitMat store image")
+    source.add_argument("--store", help="store image (.lbrm)")
     query.add_argument("--query-file", help="file containing the query")
     query.add_argument("--query", help="query text")
     query.add_argument("--engine", default="lbr",
@@ -163,7 +158,7 @@ def _build_parser() -> argparse.ArgumentParser:
                     "snapshot without disturbing in-flight queries.")
     serve_source = serve.add_mutually_exclusive_group(required=False)
     serve_source.add_argument("--data", help="N-Triples file")
-    serve_source.add_argument("--store", help="BitMat store image")
+    serve_source.add_argument("--store", help="store image (.lbrm)")
     serve.add_argument("--live-dir", default=None,
                        help="directory for a writable live store "
                             "(WAL + frozen base images); enables the "
@@ -198,12 +193,10 @@ def _build_parser() -> argparse.ArgumentParser:
                             "wait for in-flight queries before closing "
                             "(default 10)")
     serve.add_argument("--mmap", action="store_true",
-                       help="serve the dataset through the lazy "
-                            "memory-mapped store: an LBRMMAP1 --store "
-                            "image is mapped directly (no decode at "
-                            "startup); other sources are converted "
-                            "in-process first.  Live stores already "
-                            "write LBRMMAP1 base images by default")
+                       help="accepted and ignored: every --store image "
+                            "is memory-mapped and decoded lazily, with "
+                            "or without this flag (kept for scripts "
+                            "that still pass it)")
 
     lint = commands.add_parser(
         "lint",
@@ -277,39 +270,20 @@ def _generate(args) -> int:
     return 0
 
 
-def _index(args) -> int:
-    graph = ntriples.load(args.data)
-    store = BitMatStore.build(graph)
-    size = store.save(args.out)
-    print(f"indexed {store.num_triples:,} triples "
-          f"(|Vs|={store.num_subjects:,}, |Vp|={store.num_predicates:,}, "
-          f"|Vo|={store.num_objects:,}, |Vso|={store.num_shared:,}) "
-          f"-> {args.out} ({size:,} bytes)")
-    return 0
-
-
 def _freeze(args) -> int:
-    from .bitmat.backend import is_store_image
-    from .bitmat.mmapstore import save_mmap_store
-
     if is_store_image(args.data):
-        store = BitMatStore.load(args.data)
+        store = open_store(args.data)
     else:
         store = BitMatStore.build(ntriples.load(args.data))
-    size = save_mmap_store(store, args.out, page_shift=args.page_shift)
-    print(f"froze {store.num_triples:,} triples "
-          f"({store.num_predicates:,} predicate extents, "
-          f"{1 << args.page_shift}-byte aligned) "
-          f"-> {args.out} ({size:,} bytes)")
-    store.close()
+    try:
+        size = save_mmap_store(store, args.out)
+        print(f"froze {store.num_triples:,} triples "
+              f"({store.num_predicates:,} predicate extents, "
+              f"{1 << PAGE_SHIFT}-byte aligned) "
+              f"-> {args.out} ({size:,} bytes)")
+    finally:
+        store.close()
     return 0
-
-
-def _load_store(args) -> tuple[BitMatStore | None, Graph | None]:
-    if args.store:
-        return BitMatStore.load(args.store), None
-    graph = ntriples.load(args.data)
-    return None, graph
 
 
 def _query(args) -> int:
@@ -322,57 +296,69 @@ def _query(args) -> int:
     else:
         query_text = args.query
 
-    store, graph = _load_store(args)
-    if args.engine in ("naive", "columnstore") and graph is None:
+    if args.store and args.engine != "lbr":
         print("error: the baseline engines need --data (an N-Triples "
               "file), not a store image", file=sys.stderr)
         return 2
-    if store is None and args.engine == "lbr":
-        store = BitMatStore.build(graph)
-
-    if args.explain:
-        engine = LBREngine(store)
-        print(engine.explain(query_text))
-        return 0
-
-    if args.engine == "lbr":
-        engine = LBREngine(store)
-    elif args.engine == "naive":
-        engine = NaiveEngine(graph)
+    graph = store = None
+    if not args.store:
+        graph = ntriples.load(args.data)
+        if args.engine == "lbr":
+            store = BitMatStore.build(graph)
     else:
-        engine = ColumnStoreEngine(graph)
-    result = engine.execute(query_text)
+        store = open_store(args.store)
+    try:
+        if args.explain:
+            engine = LBREngine(store)
+            print(engine.explain(query_text))
+            return 0
 
-    print("\t".join(f"?{v}" for v in result.variables))
-    for index, row in enumerate(result):
-        if args.limit is not None and index >= args.limit:
-            print(f"... ({len(result) - args.limit:,} more rows)")
-            break
-        print("\t".join("NULL" if value is NULL
-                        else getattr(value, "n3", str(value))
-                        for value in row))
-    print(f"\n{len(result):,} rows", file=sys.stderr)
+        if args.engine == "lbr":
+            engine = LBREngine(store)
+        elif args.engine == "naive":
+            engine = NaiveEngine(graph)
+        else:
+            engine = ColumnStoreEngine(graph)
+        result = engine.execute(query_text)
 
-    if args.stats and args.engine == "lbr":
-        stats = engine.last_stats
-        print(f"Tplan={stats.t_plan:.4f}s Tinit={stats.t_init:.4f}s "
-              f"Tprune={stats.t_prune:.4f}s "
-              f"Ttotal={stats.t_total:.4f}s", file=sys.stderr)
-        print(f"initial={stats.initial_triples:,} "
-              f"pruned-to={stats.triples_after_pruning:,} "
-              f"results-with-nulls={stats.results_with_nulls:,} "
-              f"best-match={stats.best_match_required}", file=sys.stderr)
-    return 0
+        print("\t".join(f"?{v}" for v in result.variables))
+        for index, row in enumerate(result):
+            if args.limit is not None and index >= args.limit:
+                print(f"... ({len(result) - args.limit:,} more rows)")
+                break
+            print("\t".join("NULL" if value is NULL
+                            else getattr(value, "n3", str(value))
+                            for value in row))
+        print(f"\n{len(result):,} rows", file=sys.stderr)
+
+        if args.stats and args.engine == "lbr":
+            stats = engine.last_stats
+            print(f"Tplan={stats.t_plan:.4f}s Tinit={stats.t_init:.4f}s "
+                  f"Tprune={stats.t_prune:.4f}s "
+                  f"Ttotal={stats.t_total:.4f}s", file=sys.stderr)
+            print(f"initial={stats.initial_triples:,} "
+                  f"pruned-to={stats.triples_after_pruning:,} "
+                  f"results-with-nulls={stats.results_with_nulls:,} "
+                  f"best-match={stats.best_match_required}",
+                  file=sys.stderr)
+        return 0
+    finally:
+        # also on the ParseError / UnsupportedQueryError edges
+        if store is not None:
+            store.close()
 
 
 def _info(args) -> int:
-    if args.data.endswith((".lbr", ".lbrm", ".store", ".bin")):
-        store = BitMatStore.load(args.data)
-        print(f"triples={store.num_triples:,} "
-              f"subjects={store.num_subjects:,} "
-              f"predicates={store.num_predicates:,} "
-              f"objects={store.num_objects:,} "
-              f"shared={store.num_shared:,}")
+    if is_store_image(args.data):
+        store = open_store(args.data)
+        try:
+            print(f"triples={store.num_triples:,} "
+                  f"subjects={store.num_subjects:,} "
+                  f"predicates={store.num_predicates:,} "
+                  f"objects={store.num_objects:,} "
+                  f"shared={store.num_shared:,}")
+        finally:
+            store.close()
         return 0
     graph = ntriples.load(args.data)
     chars = graph.characteristics()
@@ -441,23 +427,6 @@ def _fuzz(args) -> int:
     return 0 if report.ok else 1
 
 
-def _as_mmap_store(store: BitMatStore) -> BitMatStore:
-    """The store as a lazy mmap-format store (no-op when it already is).
-
-    An eager store gets re-serialized to LBRMMAP1 bytes in process —
-    correctness-equivalent, but the decode already happened; for a true
-    lazy cold start point --store at an image made by ``lbr freeze``.
-    """
-    from .bitmat.mmapstore import MmapStore, dump_mmap_bytes
-
-    if isinstance(store, MmapStore):
-        return store
-    converted = MmapStore.from_bytes(dump_mmap_bytes(store),
-                                     source="<converted>")
-    store.close()
-    return converted
-
-
 def _serve(args) -> int:
     from .server import LBRServer, QueryService, ServiceConfig
 
@@ -475,23 +444,22 @@ def _serve(args) -> int:
     live = None
     if args.live_dir:
         from .update import LiveGraphStore
-        initial = None
         if args.store:
-            initial = BitMatStore.load(args.store)
-        elif args.data:
-            initial = ntriples.load(args.data)
-        live = LiveGraphStore.open(args.live_dir, initial=initial)
+            seed = open_store(args.store)
+            try:
+                # the live store writes and serves its own base image
+                live = LiveGraphStore.open(args.live_dir, initial=seed)
+            finally:
+                seed.close()
+        else:
+            live = LiveGraphStore.open(
+                args.live_dir,
+                initial=ntriples.load(args.data) if args.data else None)
         service.attach_live_store(live)
     elif args.store:
-        store = BitMatStore.load(args.store)
-        if args.mmap:
-            store = _as_mmap_store(store)
-        service.load_store(store)
+        service.load_store(open_store(args.store))
     else:
-        store = BitMatStore.build(ntriples.load(args.data))
-        if args.mmap:
-            store = _as_mmap_store(store)
-        service.load_store(store)
+        service.load_store(BitMatStore.build(ntriples.load(args.data)))
     snapshot = service.snapshots.current()
     server = LBRServer(service, host=args.host, port=args.port,
                        allow_shutdown=not args.no_shutdown_op,
@@ -540,7 +508,7 @@ def _lint(args) -> int:
 
 def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
-    handlers = {"generate": _generate, "index": _index,
+    handlers = {"generate": _generate, "index": _freeze,
                 "freeze": _freeze, "query": _query,
                 "info": _info, "bench": _bench, "fuzz": _fuzz,
                 "serve": _serve, "lint": _lint}

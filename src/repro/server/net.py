@@ -26,7 +26,7 @@ import socketserver
 import threading
 import time
 
-from ..bitmat.store import BitMatStore
+from ..bitmat.backend import open_store
 from ..exceptions import (AdmissionError, ParseError, RetriesExhaustedError,
                           ShuttingDownError, StorageError, internal_error)
 from ..rdf import ntriples
@@ -139,7 +139,7 @@ class _RequestHandler(socketserver.StreamRequestHandler):
                     ntriples.load(request["data"]))
             elif "store" in request:
                 snapshot = service.load_store(
-                    BitMatStore.load(request["store"]))
+                    open_store(request["store"]))
             else:
                 return error_response(
                     "protocol", "reload needs 'data' or 'store'",

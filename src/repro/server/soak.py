@@ -245,7 +245,8 @@ def _reloader_loop(service: QueryService, stores: list[BitMatStore],
     while time.monotonic() < stop_at:
         time.sleep(interval)
         flip += 1
-        service.load_store(stores[flip % len(stores)])
+        # publishing adopts a reference; ours stays for the next round
+        service.load_store(stores[flip % len(stores)].retain())
 
 
 class WriterStats:
@@ -428,7 +429,7 @@ def main(argv: list[str] | None = None) -> int:
         print(f"soak: live store at {live_dir}, toggle slice of "
               f"{len(slice_triples)} triples", flush=True)
     else:
-        service.load_store(stores[0])
+        service.load_store(stores[0].retain())
     server = LBRServer(service, port=0).start()
     host, port = server.address
 

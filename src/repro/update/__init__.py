@@ -12,11 +12,11 @@ writable system while keeping the engine's execution model untouched:
 * :mod:`repro.update.wal` — the write-ahead log: length+CRC32-framed
   batch records with explicit fsync commit points and torn/corrupt
   tail truncation on replay.
-* :mod:`repro.update.overlay` — the per-snapshot delta overlay: a
-  :class:`~repro.update.overlay.OverlayStore` serves the frozen base
-  BitMats plus committed adds/deletes without rebuilding them, behind
-  the exact :class:`~repro.bitmat.store.BitMatStore` interface the
-  engine executes against.
+* :mod:`repro.update.overlay` — the per-snapshot delta overlay:
+  :func:`~repro.update.overlay.overlay` returns a plain
+  :class:`~repro.bitmat.store.BitMatStore` whose pair source merges the
+  frozen base with the committed adds/deletes, so the base's BitMats
+  are served without being rebuilt.
 * :mod:`repro.update.live` — :class:`~repro.update.live.LiveGraphStore`:
   WAL + manifest + base images + overlay publication + the background
   compactor that merges accumulated deltas into a new frozen store and
@@ -26,12 +26,12 @@ writable system while keeping the engine's execution model untouched:
 from .faultfs import (FaultPlan, FaultyFS, FileSystem, MemFS, RealFS,
                       SimulatedCrash)
 from .live import LiveConfig, LiveGraphStore
-from .overlay import DeltaDictionary, OverlayStore, TripleDelta
+from .overlay import DeltaDictionary, TripleDelta, overlay
 from .wal import WalRecord, WriteAheadLog, replay_wal
 
 __all__ = [
     "DeltaDictionary", "FaultPlan", "FaultyFS", "FileSystem",
-    "LiveConfig", "LiveGraphStore", "MemFS", "OverlayStore", "RealFS",
+    "LiveConfig", "LiveGraphStore", "MemFS", "RealFS",
     "SimulatedCrash", "TripleDelta", "WalRecord", "WriteAheadLog",
-    "replay_wal",
+    "overlay", "replay_wal",
 ]

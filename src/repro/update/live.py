@@ -3,7 +3,7 @@
 On-disk layout (one directory)::
 
     MANIFEST            JSON: base image name, base_seq, WAL segments
-    base-<seq>.lbr      frozen store image (persist format, CRC'd)
+    base-<seq>.lbrm     frozen store image (LBRMMAP1, CRC'd per section)
     wal-<seq>.log       WAL segments; <seq> is the first batch inside
 
 The manifest is the recovery root and the *only* file updated in
@@ -19,7 +19,7 @@ Write path (single writer, serialized by a lock):
 1. normalize the batch into the cumulative :class:`TripleDelta`;
 2. append it to the current WAL segment and **fsync — the commit
    point**;
-3. publish a fresh :class:`~repro.update.overlay.OverlayStore` (base +
+3. publish a fresh :func:`~repro.update.overlay.overlay` store (base +
    delta) through the ``on_publish`` callback — readers on older
    snapshots are untouched (copy-on-write).
 
@@ -48,14 +48,13 @@ from typing import Callable, Iterable
 
 from ..bitmat.backend import open_image
 from ..bitmat.mmapstore import dump_mmap_bytes
-from ..bitmat.persist import dump_store_bytes
 from ..bitmat.store import BitMatStore
 from ..exceptions import StorageError, internal_error
 from ..fsio import atomic_write, join_path
 from ..rdf.graph import Graph
 from ..rdf.terms import Triple
 from .faultfs import FileSystem, RealFS
-from .overlay import (OverlayStore, SharedRegionViolation, TripleDelta,
+from .overlay import (SharedRegionViolation, TripleDelta, overlay,
                       store_has_triple)
 from .wal import WriteAheadLog, replay_wal
 
@@ -74,12 +73,6 @@ class LiveConfig:
     #: happens inline via :meth:`LiveGraphStore.compact` (deterministic
     #: operation schedules for the crash-recovery property suite)
     background: bool = True
-    #: on-disk base-image format: ``"mmap"`` writes ``LBRMMAP1`` (the
-    #: memory-mapped lazy format — checkpoints and compactions emit it,
-    #: so a restart opens the base without decoding a single predicate),
-    #: ``"store"`` the fully-decoded ``LBRSTORE2``.  Recovery sniffs the
-    #: image magic, so either format opens regardless of this setting.
-    image_format: str = "mmap"
 
 
 _join = join_path
@@ -155,10 +148,10 @@ class LiveGraphStore:
                                      else Graph())
         self._base_seq = 0
         image = self._image_name()
-        self._write_file(image, self._dump_image(seed))
+        self._write_file(image, dump_mmap_bytes(seed))
         # the base *is* the on-disk image: serve the store reopened from
-        # the bytes just written (for the mmap format that means lazy,
-        # page-cache-backed reads), never the transient in-memory build
+        # the bytes just written (lazy, page-cache-backed reads), never
+        # the transient in-memory build
         base = self._open_image(image)
         base.freeze()
         self._base = base
@@ -207,21 +200,10 @@ class LiveGraphStore:
         return f"wal-{first_seq:08d}.log"
 
     def _image_name(self) -> str:
-        suffix = "lbrm" if self.config.image_format == "mmap" else "lbr"
-        return f"base-{self._base_seq:08d}.{suffix}"
-
-    def _dump_image(self, store: BitMatStore) -> bytes:
-        """Serialize *store* in the configured base-image format."""
-        if self.config.image_format == "mmap":
-            return dump_mmap_bytes(store)
-        if self.config.image_format == "store":
-            return dump_store_bytes(store)
-        raise StorageError(
-            f"unknown image_format {self.config.image_format!r} "
-            "(expected 'mmap' or 'store')")
+        return f"base-{self._base_seq:08d}.lbrm"
 
     def _open_image(self, name: str) -> BitMatStore:
-        """Open a base image by magic, through the filesystem seam."""
+        """Open a base image through the filesystem seam."""
         return open_image(self.fs, _join(self.directory, name))
 
     def _write_file(self, name: str, payload: bytes) -> None:
@@ -324,16 +306,15 @@ class LiveGraphStore:
         ``_current`` (dropped when the next publication replaces it, or
         at :meth:`close`), and the ``on_publish`` callback *adopts* a
         reference of its own — the snapshot machinery closes it when
-        the snapshot retires.  All of this is free for plain in-memory
-        stores (their retain/close are no-ops) and exactly what keeps
-        an mmap-backed base from being unmapped under a reader.
+        the snapshot retires.  This is exactly what keeps the mapped
+        base image from being unmapped under a reader.
         """
         if self._delta.is_empty():
             store = self._base.retain()
         else:
             # the overlay's creation reference is ours; it retains the
             # base internally for as long as it lives
-            store = OverlayStore.build(self._base, self._delta)
+            store = overlay(self._base, self._delta)
             store.freeze()
         previous = self._current
         self._current = store
@@ -374,8 +355,8 @@ class LiveGraphStore:
         the base that actually serves reads is reopened from the image
         just written ("the base is the on-disk image"), so a restart
         recovers into the *same* store the live process was using —
-        and with the mmap format, the resident set stays bounded by
-        the predicates queries actually touch.
+        and the resident set stays bounded by the predicates queries
+        actually touch.
         """
         old_base = self._base
         old_names = {self._image, *self._segments}
@@ -383,7 +364,7 @@ class LiveGraphStore:
         self._delta = (self._delta if base_seq < self.last_seq
                        else TripleDelta.empty())
         image = self._image_name()
-        self._write_file(image, self._dump_image(new_base))
+        self._write_file(image, dump_mmap_bytes(new_base))
         new_base.close()
         base = self._open_image(image)
         base.freeze()

@@ -6,14 +6,15 @@ three invariants (``added ∩ base = ∅``, ``deleted ⊆ base``,
 ``added ∩ deleted = ∅``) so counts and membership compose exactly:
 the visible dataset is ``base − deleted + added``, always.
 
-An :class:`OverlayStore` *is a* :class:`~repro.bitmat.store.BitMatStore`
-whose per-predicate sorted pair lists are a lazy merge of the frozen
-base's lists with the delta — untouched predicates return the base's
-list by identity (and their BitMat loads delegate to the base's warm
-caches), touched predicates merge on first access.  Because every
-engine path — TP initialization, pruning folds/unfolds, enumeration,
-selectivity — reads the store through those pair lists, the overlay is
-consulted everywhere without a single change to the execution code.
+:func:`overlay` lays a delta over a frozen base store: the result is a
+plain :class:`~repro.bitmat.store.BitMatStore` whose pair source
+(:class:`MergedSource`) lazily merges the base's pair lists with the
+delta — untouched predicates return the base's list by identity (and
+the store serves their BitMats from the base's warm caches), touched
+predicates merge on first access.  Because every engine path — TP
+initialization, pruning folds/unfolds, enumeration, selectivity — reads
+the store through those pair lists, the overlay is consulted everywhere
+without a single change to the execution code.
 
 Dictionary growth is handled by :class:`DeltaDictionary`, which
 extends the frozen base mapping with new term ids instead of copying
@@ -30,14 +31,12 @@ region.
 from __future__ import annotations
 
 import heapq
-import threading
 from dataclasses import dataclass
-from typing import Callable, Iterable, Iterator, Mapping
+from typing import Callable, Iterable
 
-from ..bitmat.bitmat import BitMat
-from ..bitmat.bitvec import BitVector
+from ..bitmat.source import Pairs, PairSource
 from ..bitmat.store import BitMatStore
-from ..exceptions import DictionaryError, StorageError
+from ..exceptions import DictionaryError
 from ..rdf.dictionary import Dictionary, _sort_key
 from ..rdf.terms import Term, Triple
 
@@ -254,190 +253,125 @@ class DeltaDictionary(Dictionary):
             raise DictionaryError(f"unknown predicate id {pid}") from None
 
 
-class _MergedPairs(Mapping):
-    """Lazy ``pid → sorted (sid, oid) pairs`` over base + delta.
+class MergedSource:
+    """The pair source of base + delta, merged lazily per predicate.
 
     Untouched predicates return the base's list *by identity* (no
     copy); touched predicates materialize the merge once, on first
     access.  Post-freeze concurrent first accesses may race the merge,
     which is benign: the computation is pure and the dict assignment
-    atomic under the GIL.
+    atomic under the GIL.  Everything answerable from the base's
+    metadata plus delta arithmetic is answered that way, so an
+    image-backed base decodes only what queries touch.
     """
 
-    def __init__(self, base: Mapping, add_by_p: dict, del_by_p: dict) -> None:
+    def __init__(self, base: PairSource, delta: TripleDelta,
+                 add_by_p: dict[int, Pairs],
+                 del_by_p: dict[int, set]) -> None:
         self._base = base
+        self._delta = delta
         self._add_by_p = add_by_p
         self._del_by_p = del_by_p
-        self._pids = sorted(set(base) | set(add_by_p))
-        self._merged: dict[int, list[tuple[int, int]]] = {}
+        #: predicates whose pairs differ from the base's
+        self.touched = frozenset(add_by_p) | frozenset(del_by_p)
+        self._pids = sorted(set(base.pids()) | set(add_by_p))
+        self._so: dict[int, Pairs] = {}
+        self._os: dict[int, Pairs] = {}
 
-    def __getitem__(self, pid: int) -> list[tuple[int, int]]:
-        adds = self._add_by_p.get(pid)
-        dels = self._del_by_p.get(pid)
-        if adds is None and dels is None:
-            return self._base[pid]
-        cached = self._merged.get(pid)
-        if cached is None:
-            base_pairs = self._base.get(pid, [])
+    def pids(self) -> list[int]:
+        return self._pids
+
+    def so_pairs(self, pid: int) -> Pairs:
+        if pid not in self.touched:
+            return self._base.so_pairs(pid)
+        merged = self._so.get(pid)
+        if merged is None:
+            merged = self._base.so_pairs(pid)
+            dels = self._del_by_p.get(pid)
             if dels:
-                base_pairs = [pair for pair in base_pairs
-                              if pair not in dels]
+                merged = [pair for pair in merged if pair not in dels]
+            adds = self._add_by_p.get(pid)
             if adds:
                 # adds are disjoint from the base by the delta
                 # invariants, so a sorted merge needs no dedup
-                base_pairs = list(heapq.merge(base_pairs, adds))
-            cached = base_pairs
-            self._merged[pid] = cached
-        return cached
+                merged = list(heapq.merge(merged, adds))
+            self._so[pid] = merged
+        return merged
 
-    def __iter__(self) -> Iterator[int]:
-        return iter(self._pids)
+    def os_pairs(self, pid: int) -> Pairs:
+        # ids of existing triples never change, so the base's (possibly
+        # pre-built) O-S projection is reusable whenever the predicate
+        # has no delta — regardless of dimension growth
+        if pid not in self.touched:
+            return self._base.os_pairs(pid)
+        pairs = self._os.get(pid)
+        if pairs is None:
+            pairs = sorted((oid, sid) for sid, oid in self.so_pairs(pid))
+            self._os[pid] = pairs
+        return pairs
 
-    def __len__(self) -> int:
-        return len(self._pids)
+    def count(self, pid: int) -> int:
+        # exact by the delta invariants (deleted ⊆ base, added ∩ base
+        # = ∅), as is total()
+        return (self._base.count(pid) - len(self._del_by_p.get(pid, ()))
+                + len(self._add_by_p.get(pid, ())))
 
-    def __contains__(self, pid) -> bool:
-        return pid in self._add_by_p or pid in self._base
+    def total(self) -> int:
+        return (self._base.total() - len(self._delta.deleted)
+                + len(self._delta.added))
+
+    def stats(self) -> None:
+        # delta-adjusted statistics are still open (ROADMAP 3); None
+        # routes overlay queries through the static heuristic
+        return None
+
+    def prepare(self) -> None:
+        # only what the delta touched: the rest is the base's, which is
+        # either already frozen or serves it from locked caches
+        for pid in self.touched:
+            self.os_pairs(pid)
+
+    def cache_stats(self) -> dict[str, dict[str, int]]:
+        return self._base.cache_stats()
+
+    def close(self) -> None:
+        # nothing of its own; the store releases the base it retained
+        pass
 
 
-class OverlayStore(BitMatStore):
-    """Base store + normalized delta, behind the BitMatStore interface.
+def overlay(base: BitMatStore, delta: TripleDelta) -> BitMatStore:
+    """The store serving ``base − deleted + added``.
 
     Engine code cannot tell it apart from a rebuilt store; reads for
     predicates the delta never touched are served straight from the
     base's caches (when no new terms changed the matrix dimensions),
-    so publishing a batch costs O(delta), not O(dataset).
+    so publishing a batch costs O(delta), not O(dataset).  The result
+    holds a reference on *base* until its own last ``close()``.
+    Raises :class:`SharedRegionViolation` when an overlay cannot
+    represent *delta*.
     """
-
-    def __init__(self, dictionary: DeltaDictionary, pairs: _MergedPairs,
-                 base: BitMatStore, delta: TripleDelta,
-                 delta_pids: frozenset) -> None:
-        # set before super().__init__: _count_triples (called from the
-        # base constructor) reads them to avoid a full pair-list scan
-        self.base = base.retain()
-        self.delta = delta
-        self._delta_pids = delta_pids
-        self._refs = 1
-        self._refs_lock = threading.Lock()
-        super().__init__(dictionary, pairs)
-        self._dims_match = (
-            dictionary.num_subjects == base.num_subjects
-            and dictionary.num_objects == base.num_objects
-            and dictionary.num_predicates == base.num_predicates)
-
-    @classmethod
-    def build(cls, base: BitMatStore, delta: TripleDelta) -> "OverlayStore":
-        """Encode *delta* against *base*; raises
-        :class:`SharedRegionViolation` when an overlay cannot
-        represent it."""
-        dictionary = DeltaDictionary(base.dictionary)
-        del_by_p: dict[int, set] = {}
-        # sorted iteration makes extension-id assignment deterministic
-        for triple in sorted(delta.deleted, key=_triple_key):
-            sid, pid, oid = dictionary.encode_triple(triple)
-            del_by_p.setdefault(pid, set()).add((sid, oid))
-        add_by_p: dict[int, list] = {}
-        for triple in sorted(delta.added, key=_triple_key):
-            sid = dictionary.ensure_subject(triple.s)
-            pid = dictionary.ensure_predicate(triple.p)
-            oid = dictionary.ensure_object(triple.o)
-            add_by_p.setdefault(pid, []).append((sid, oid))
-        num_shared = dictionary.num_shared
-        for triple in sorted(delta.added, key=_triple_key):
-            for term in (triple.s, triple.o):
-                sid = dictionary.subject_id(term)
-                oid = dictionary.object_id(term)
-                if (sid is not None and oid is not None
-                        and not (sid == oid and sid <= num_shared)):
-                    raise SharedRegionViolation(term)
-        for pairs in add_by_p.values():
-            pairs.sort()
-        pairs = _MergedPairs(base._so_by_p, add_by_p, del_by_p)
-        delta_pids = frozenset(add_by_p) | frozenset(del_by_p)
-        return cls(dictionary, pairs, base, delta, delta_pids)
-
-    def _count_triples(self) -> int:
-        # exact by the delta invariants (deleted ⊆ base, added ∩ base
-        # = ∅); summing the merged pair lists would force a lazy base
-        # (an mmap-backed store) to decode every predicate
-        return (self.base.num_triples - len(self.delta.deleted)
-                + len(self.delta.added))
-
-    def _collect_stats(self):
-        # delta-adjusted statistics are still open (ROADMAP 3); None
-        # routes overlay queries through the static heuristic, and the
-        # base's own statistics stay untouched — they describe the base
-        # image, not this overlay's merged view
-        return None
-
-    def _prepare_freeze(self) -> None:
-        # prebuild O-S projections only for predicates the delta
-        # touched; untouched ones delegate to the base, which is either
-        # already frozen (its projections prebuilt) or a lazy backend
-        # serving them from locked caches — prebuilding those here
-        # would force an mmap base to decode every extent
-        for pid in self._delta_pids:
-            if pid in self._so_by_p:
-                self._os_pairs(pid)
-
-    # -- base-cache delegation -----------------------------------------
-
-    def _untouched(self, pid: int) -> bool:
-        return self._dims_match and pid not in self._delta_pids
-
-    def _os_pairs(self, pid: int) -> list[tuple[int, int]]:
-        # ids of existing triples never change, so the base's (possibly
-        # pre-built) O-S projection is reusable whenever the predicate
-        # has no delta — regardless of dimension growth
-        if pid not in self._delta_pids and pid in self.base._so_by_p:
-            return self.base._os_pairs(pid)
-        return super()._os_pairs(pid)
-
-    def load_so(self, pid: int) -> BitMat:
-        if self._untouched(pid):
-            return self.base.load_so(pid)
-        return super().load_so(pid)
-
-    def load_os(self, pid: int) -> BitMat:
-        if self._untouched(pid):
-            return self.base.load_os(pid)
-        return super().load_os(pid)
-
-    def load_ps_row(self, pid: int, oid: int) -> BitVector:
-        if self._untouched(pid):
-            return self.base.load_ps_row(pid, oid)
-        return super().load_ps_row(pid, oid)
-
-    def load_po_row(self, pid: int, sid: int) -> BitVector:
-        if self._untouched(pid):
-            return self.base.load_po_row(pid, sid)
-        return super().load_po_row(pid, sid)
-
-    # -- lifecycle -----------------------------------------------------
-
-    def retain(self) -> "OverlayStore":
-        with self._refs_lock:
-            if self._refs <= 0:
-                raise StorageError("retain() on a closed overlay store")
-            self._refs += 1
-        return self
-
-    def close(self) -> None:
-        """Drop one reference; the last close releases the base ref.
-
-        The overlay's merged pair lists delegate to the base, so a
-        holder of resources (an mmap-backed base) stays open for as
-        long as any overlay over it is still referenced.
-        """
-        with self._refs_lock:
-            if self._refs <= 0:
-                return
-            self._refs -= 1
-            if self._refs:
-                return
-        self.base.close()
-
-    @property
-    def closed(self) -> bool:
-        with self._refs_lock:
-            return self._refs <= 0
+    dictionary = DeltaDictionary(base.dictionary)
+    del_by_p: dict[int, set] = {}
+    # sorted iteration makes extension-id assignment deterministic
+    for triple in sorted(delta.deleted, key=_triple_key):
+        sid, pid, oid = dictionary.encode_triple(triple)
+        del_by_p.setdefault(pid, set()).add((sid, oid))
+    add_by_p: dict[int, Pairs] = {}
+    for triple in sorted(delta.added, key=_triple_key):
+        sid = dictionary.ensure_subject(triple.s)
+        pid = dictionary.ensure_predicate(triple.p)
+        oid = dictionary.ensure_object(triple.o)
+        add_by_p.setdefault(pid, []).append((sid, oid))
+    num_shared = dictionary.num_shared
+    for triple in sorted(delta.added, key=_triple_key):
+        for term in (triple.s, triple.o):
+            sid = dictionary.subject_id(term)
+            oid = dictionary.object_id(term)
+            if (sid is not None and oid is not None
+                    and not (sid == oid and sid <= num_shared)):
+                raise SharedRegionViolation(term)
+    for pairs in add_by_p.values():
+        pairs.sort()
+    source = MergedSource(base.source, delta, add_by_p, del_by_p)
+    return BitMatStore(dictionary, source, parent=base,
+                       touched=source.touched)

@@ -63,6 +63,11 @@ def figure_engine(figure_store) -> LBREngine:
     return LBREngine(figure_store)
 
 
+def decodes(store: BitMatStore) -> int:
+    """Extents an image-backed store has decoded so far."""
+    return store.cache_stats()["extents"]["materializations"]
+
+
 def engines_for(graph: Graph):
     """(LBR, naive, columnstore) engines over a graph."""
     store = BitMatStore.build(graph)

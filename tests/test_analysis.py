@@ -270,7 +270,8 @@ class TestRepoGate:
     def test_mypy_strict_modules_have_no_untyped_defs(self):
         """Local stand-in for the CI mypy gate (container has no mypy):
         every def in the pyproject strict modules is fully annotated."""
-        targets = ["src/repro/bitmat/backend.py", "src/repro/sync.py",
+        targets = ["src/repro/bitmat/backend.py",
+                   "src/repro/bitmat/source.py", "src/repro/sync.py",
                    "src/repro/lru.py"]
         targets += sorted(glob.glob(
             os.path.join(REPO_ROOT, "src/repro/plan/*.py")))

@@ -1,6 +1,8 @@
 """CLI tests via the in-process entry point."""
 
 import os
+import subprocess
+import sys
 
 import pytest
 
@@ -34,9 +36,10 @@ class TestInfo:
 
 class TestIndexAndQuery:
     def test_index_then_query_store(self, data_file, tmp_path, capsys):
-        store_path = str(tmp_path / "data.lbr")
+        # `index` is an alias of `freeze`: same handler, same image
+        store_path = str(tmp_path / "data.lbrm")
         assert main(["index", data_file, "--out", store_path]) == 0
-        capsys.readouterr()
+        assert "froze 3 triples" in capsys.readouterr().out
         assert main(["query", "--store", store_path, "--query", QUERY,
                      "--stats"]) == 0
         captured = capsys.readouterr()
@@ -70,8 +73,8 @@ class TestIndexAndQuery:
 
     def test_baseline_needs_data_not_store(self, data_file, tmp_path,
                                            capsys):
-        store_path = str(tmp_path / "data2.lbr")
-        main(["index", data_file, "--out", store_path])
+        store_path = str(tmp_path / "data2.lbrm")
+        main(["freeze", data_file, "--out", store_path])
         capsys.readouterr()
         assert main(["query", "--store", store_path, "--query", QUERY,
                      "--engine", "naive"]) == 2
@@ -87,24 +90,27 @@ class TestIndexAndQuery:
 
 class TestFreeze:
     def test_freeze_from_ntriples(self, data_file, tmp_path, capsys):
-        from repro.bitmat import MmapStore
+        from repro.bitmat import open_store
 
         out = str(tmp_path / "data.lbrm")
         assert main(["freeze", data_file, "--out", out]) == 0
         message = capsys.readouterr().out
         assert "froze 3 triples" in message
         assert "4096-byte aligned" in message
-        store = MmapStore.open(out)
+        store = open_store(out)
         assert store.num_triples == 3
-        assert store.materializations == 0
+        assert store.cache_stats()["extents"]["materializations"] == 0
         store.close()
 
     def test_freeze_from_store_image(self, data_file, tmp_path, capsys):
-        store_path = str(tmp_path / "data.lbr")
+        store_path = str(tmp_path / "first.lbrm")
         frozen_path = str(tmp_path / "data.lbrm")
-        assert main(["index", data_file, "--out", store_path]) == 0
+        assert main(["freeze", data_file, "--out", store_path]) == 0
         assert main(["freeze", store_path, "--out", frozen_path]) == 0
         capsys.readouterr()
+        with open(store_path, "rb") as first, \
+                open(frozen_path, "rb") as second:
+            assert first.read() == second.read()
         # the frozen image answers queries identically to the source
         assert main(["query", "--store", frozen_path,
                      "--query", QUERY]) == 0
@@ -118,6 +124,34 @@ class TestFreeze:
         capsys.readouterr()
         assert main(["info", out]) == 0
         assert "triples=3" in capsys.readouterr().out
+
+    def test_info_sniffs_the_magic_not_the_extension(self, data_file,
+                                                     tmp_path, capsys):
+        out = str(tmp_path / "lubm.bm")   # the name SKILL.md suggests
+        bare = str(tmp_path / "image")
+        for path in (out, bare):
+            main(["freeze", data_file, "--out", path])
+            capsys.readouterr()
+            assert main(["info", path]) == 0
+            assert "shared=" in capsys.readouterr().out
+
+    def test_store_commands_leak_no_handles(self, data_file, tmp_path):
+        """`info` and `query --store` (also on the unsupported-query
+        edge) close the image they map: no ResourceWarning."""
+        image = str(tmp_path / "data.lbrm")
+        assert main(["freeze", data_file, "--out", image]) == 0
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
+        for argv, code in (
+                (["info", image], 0),
+                (["query", "--store", image, "--query", QUERY], 0),
+                (["query", "--store", image, "--query",
+                  "SELECT * WHERE { ?a ?p ?b }"], 1)):
+            done = subprocess.run(
+                [sys.executable, "-X", "dev", "-W",
+                 "error::ResourceWarning", "-m", "repro", *argv],
+                env=env, capture_output=True, text=True)
+            assert done.returncode == code, done.stderr
+            assert "ResourceWarning" not in done.stderr, done.stderr
 
 
 class TestServe:

@@ -180,7 +180,7 @@ class TestStoreCaches:
         graph = Graph(triples(*FIGURE_3_2))
         store = BitMatStore.build(graph)
         assert store._so_cache.capacity == store_module.MATRIX_CACHE_SIZE
-        for pid in store._so_by_p:
+        for pid in store.source.pids():
             store.load_so(pid)
         assert len(store._so_cache) <= store._so_cache.capacity
 

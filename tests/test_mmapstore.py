@@ -1,18 +1,19 @@
-"""The memory-mapped frozen store: format, laziness, lifecycle, wiring."""
+"""The store image: laziness, and its wiring into server and live store.
+
+What every pair source must answer alike is ``test_store_contract.py``;
+what a damaged image must refuse is ``test_persist_corruption.py``.
+"""
 
 from __future__ import annotations
 
 import pytest
 
 from repro import BitMatStore, Graph, LBREngine
-from repro.bitmat import mmapstore
-from repro.bitmat.backend import (StoreBackend, is_store_image, open_store,
-                                  open_store_bytes)
-from repro.bitmat.mmapstore import MmapStore, dump_mmap_bytes, save_mmap_store
-from repro.bitmat.persist import dump_store_bytes
+from repro.bitmat import (dump_mmap_bytes, is_store_image, mmapstore,
+                          open_store, open_store_bytes, save_mmap_store)
 from repro.exceptions import StorageError
 
-from .conftest import FIGURE_3_2_QUERY, triples, uri
+from .conftest import FIGURE_3_2_QUERY, decodes, triples, uri
 
 
 def many_predicate_graph(num_predicates: int = 10,
@@ -26,233 +27,101 @@ def many_predicate_graph(num_predicates: int = 10,
 
 
 @pytest.fixture()
-def figure_mmap(figure_store) -> MmapStore:
-    store = MmapStore.from_bytes(dump_mmap_bytes(figure_store))
+def figure_image(figure_store) -> BitMatStore:
+    store = open_store_bytes(dump_mmap_bytes(figure_store))
     yield store
     store.close()
 
 
-class TestRoundTrip:
-    def test_from_bytes_preserves_everything(self, figure_store,
-                                             figure_mmap):
-        assert figure_mmap.num_triples == figure_store.num_triples
-        assert figure_mmap.num_subjects == figure_store.num_subjects
-        assert figure_mmap.num_objects == figure_store.num_objects
-        assert figure_mmap.num_predicates == figure_store.num_predicates
-        assert figure_mmap.num_shared == figure_store.num_shared
-        assert (sorted(figure_mmap.iter_triples())
-                == sorted(figure_store.iter_triples()))
-
-    def test_open_maps_a_real_file(self, figure_store, tmp_path):
-        path = str(tmp_path / "figure.lbrm")
-        written = save_mmap_store(figure_store, path)
-        assert written > 0
-        store = MmapStore.open(path)
-        assert store.materializations == 0
-        assert (sorted(store.iter_triples())
-                == sorted(figure_store.iter_triples()))
-        store.close()
-
-    def test_query_results_identical_across_formats(self, figure_graph,
-                                                    figure_store,
-                                                    figure_mmap):
-        eager = LBREngine(figure_store).execute(FIGURE_3_2_QUERY)
-        lazy = LBREngine(figure_mmap).execute(FIGURE_3_2_QUERY)
-        assert lazy.as_multiset() == eager.as_multiset()
-
+class TestImage:
     def test_empty_store_round_trips(self):
         empty = BitMatStore.build(Graph())
-        store = MmapStore.from_bytes(dump_mmap_bytes(empty))
+        store = open_store_bytes(dump_mmap_bytes(empty))
         assert store.num_triples == 0
         assert list(store.iter_triples()) == []
         store.close()
 
-    def test_extents_are_page_aligned(self, figure_store):
-        payload = dump_mmap_bytes(figure_store, page_shift=9)
-        store = MmapStore.from_bytes(payload)
-        for extent in store._pairs._extents.values():
-            assert extent[0] % 512 == 0
-        store.close()
+    def test_extents_are_page_aligned(self, figure_image):
+        for offset, _, _, _ in figure_image.source._extents.values():
+            assert offset % 4096 == 0
+
+    def test_only_images_are_images(self, figure_store, tmp_path):
+        path = str(tmp_path / "figure")
+        save_mmap_store(figure_store, path)
+        assert is_store_image(path)
+        assert not is_store_image(__file__)
+        assert not is_store_image(str(tmp_path))
+        with pytest.raises(StorageError):
+            open_store(__file__)
+        with pytest.raises(StorageError):
+            open_store(str(tmp_path / "missing.lbrm"))
+        with pytest.raises(StorageError):
+            open_store_bytes(b"definitely not a store image")
 
 
 class TestLaziness:
-    def test_open_decodes_nothing(self, figure_mmap):
-        assert figure_mmap.materializations == 0
-
     def test_first_query_skips_untouched_predicates(self):
         """The acceptance bar: answering a query must not decode
         predicates it never names."""
-        graph = many_predicate_graph(num_predicates=10)
-        base = BitMatStore.build(graph)
-        store = MmapStore.from_bytes(dump_mmap_bytes(base))
+        base = BitMatStore.build(many_predicate_graph(num_predicates=10))
+        store = open_store_bytes(dump_mmap_bytes(base))
+        assert decodes(store) == 0
         engine = LBREngine(store)
         result = engine.execute(
             f"SELECT ?s ?o WHERE {{ ?s <{uri('p3')}> ?o . }}")
         assert len(result) == 6
-        assert store.materializations == 1
+        assert decodes(store) == 1
         store.close()
-
-    def test_statistics_answered_from_index(self, figure_mmap,
-                                            figure_store):
-        for pid in range(1, figure_mmap.num_predicates + 1):
-            assert (figure_mmap.predicate_count(pid)
-                    == figure_store.predicate_count(pid))
-            assert (figure_mmap.count_matching(None, pid, None)
-                    == figure_store.count_matching(None, pid, None))
-        assert figure_mmap.materializations == 0
 
     def test_eviction_redecodes_transparently(self, monkeypatch):
         monkeypatch.setattr(mmapstore, "EXTENT_CACHE_SIZE", 2)
-        graph = many_predicate_graph(num_predicates=8)
-        base = BitMatStore.build(graph)
-        store = MmapStore.from_bytes(dump_mmap_bytes(base))
-        first = {pid: list(store._so_by_p[pid]) for pid in store._so_by_p}
-        decodes_after_sweep = store.materializations
+        base = BitMatStore.build(many_predicate_graph(num_predicates=8))
+        store = open_store_bytes(dump_mmap_bytes(base))
+        source = store.source
+        first = {pid: list(source.so_pairs(pid)) for pid in source.pids()}
+        decodes_after_sweep = decodes(store)
         assert decodes_after_sweep == 8
         # sweeping again re-decodes evicted extents — same data back
-        again = {pid: list(store._so_by_p[pid]) for pid in store._so_by_p}
+        again = {pid: list(source.so_pairs(pid)) for pid in source.pids()}
         assert again == first
-        assert store.materializations > decodes_after_sweep
+        assert decodes(store) > decodes_after_sweep
         store.close()
 
-    def test_cache_stats_report_extent_section(self, figure_mmap):
-        figure_mmap.load_so(1)
-        report = figure_mmap.cache_stats()
+    def test_cache_stats_report_extent_section(self, figure_image):
+        figure_image.load_so(1)
+        report = figure_image.cache_stats()
+        assert set(report) == {"so", "os", "rows", "entities", "extents",
+                               "os_pairs"}
         assert report["extents"]["materializations"] == 1
-        assert report["extents"]["extents"] == figure_mmap.num_predicates
-        assert "os_pairs" in report
+        assert report["extents"]["extents"] == figure_image.num_predicates
 
-
-class TestLifecycle:
-    def test_refcounted_close(self, figure_mmap):
-        figure_mmap.retain()
-        figure_mmap.close()
-        assert not figure_mmap.closed
-        figure_mmap.close()
-        assert figure_mmap.closed
-        figure_mmap.close()  # idempotent at zero
-        assert figure_mmap.closed
-
-    def test_retain_after_close_raises(self, figure_store):
-        store = MmapStore.from_bytes(dump_mmap_bytes(figure_store))
-        store.close()
-        with pytest.raises(StorageError):
-            store.retain()
-
-    def test_decode_after_close_raises(self, figure_store):
-        store = MmapStore.from_bytes(dump_mmap_bytes(figure_store))
-        store.close()
-        with pytest.raises(StorageError):
-            store.load_so(1)
-
-    def test_open_file_handle_released_on_close(self, figure_store,
-                                                tmp_path):
-        path = str(tmp_path / "figure.lbrm")
-        save_mmap_store(figure_store, path)
-        store = MmapStore.open(path)
-        store.load_so(1)
-        store.close()
-        assert store._mapping.closed
-        assert store._file.closed
-
-    def test_plain_store_lifecycle_is_noop(self, figure_store):
-        # the protocol the rest of the system relies on: retaining and
-        # closing an eager in-memory store never invalidates it
-        assert figure_store.retain() is figure_store
-        figure_store.close()
-        assert not figure_store.closed
-        assert figure_store.num_triples == 11
-
-
-class TestBackendProtocol:
-    def test_all_three_stores_satisfy_the_protocol(self, figure_store,
-                                                   figure_mmap):
-        from repro.update.overlay import OverlayStore, TripleDelta
-
-        delta = TripleDelta.empty().apply_batch(
-            triples(("Jerry", "hasFriend", "Elaine")), (),
-            lambda triple: False)
-        overlay = OverlayStore.build(figure_store, delta)
-        assert isinstance(figure_store, StoreBackend)
-        assert isinstance(figure_mmap, StoreBackend)
-        assert isinstance(overlay, StoreBackend)
-        overlay.close()
-
-    def test_open_store_sniffs_every_format(self, figure_store, tmp_path):
-        lbr = str(tmp_path / "figure.lbr")
-        lbrm = str(tmp_path / "figure.lbrm")
-        figure_store.save(lbr)
-        save_mmap_store(figure_store, lbrm)
-        eager = open_store(lbr)
-        lazy = open_store(lbrm)
-        assert type(eager) is BitMatStore
-        assert isinstance(lazy, MmapStore)
-        assert (sorted(eager.iter_triples())
-                == sorted(lazy.iter_triples()))
-        lazy.close()
-        assert is_store_image(lbr) and is_store_image(lbrm)
-        assert not is_store_image(str(tmp_path))
-
-    def test_store_load_dispatches_by_magic(self, figure_store, tmp_path):
-        path = str(tmp_path / "figure.lbrm")
-        save_mmap_store(figure_store, path)
-        store = BitMatStore.load(path)
-        assert isinstance(store, MmapStore)
-        store.close()
-
-    def test_open_store_bytes_rejects_garbage(self):
-        with pytest.raises(StorageError):
-            open_store_bytes(b"definitely not a store image")
-        with pytest.raises(StorageError):
-            open_store(__file__)
-
-    def test_both_byte_formats_open(self, figure_store):
-        for payload in (dump_store_bytes(figure_store),
-                        dump_mmap_bytes(figure_store)):
-            store = open_store_bytes(payload)
-            assert store.num_triples == figure_store.num_triples
-            store.close()
-
-
-class TestOverlayOverMmap:
     def test_overlay_merges_and_base_stays_lazy(self, figure_store):
-        from repro.update.overlay import OverlayStore, TripleDelta
+        from repro.update.overlay import (TripleDelta, overlay,
+                                          store_has_triple)
 
-        base = MmapStore.from_bytes(dump_mmap_bytes(figure_store))
+        base = open_store_bytes(dump_mmap_bytes(figure_store))
         delta = TripleDelta.empty().apply_batch(
             triples(("Elaine", "actedIn", "Seinfeld")),
             triples(("Julia", "actedIn", "Veep")),
-            lambda triple: any(t == triple for t in base.iter_triples()))
-        base_decodes = base.materializations
-        overlay = OverlayStore.build(base, delta)
-        assert base.materializations == base_decodes  # build is lazy too
-        rows = LBREngine(overlay).execute(
+            lambda triple: store_has_triple(base, triple))
+        base_decodes = decodes(base)
+        store = overlay(base, delta)
+        assert store.num_triples == base.num_triples
+        assert decodes(base) == base_decodes  # building is lazy too
+        # an overlay reports the caches of the image underneath it
+        assert store.cache_stats()["extents"] == base.cache_stats()["extents"]
+        rows = LBREngine(store).execute(
             f"SELECT ?s WHERE {{ ?s <{uri('actedIn')}> "
             f"<{uri('Seinfeld')}> . }}")
-        names = {row[0] for row in rows}
-        assert names == {uri("Julia"), uri("Elaine")}
-        overlay.close()
+        assert {row[0] for row in rows} == {uri("Julia"), uri("Elaine")}
+        assert decodes(base) < base.num_predicates
+        store.close()
         base.close()
-
-    def test_overlay_keeps_base_mapped_until_released(self, figure_store):
-        from repro.update.overlay import OverlayStore, TripleDelta
-
-        base = MmapStore.from_bytes(dump_mmap_bytes(figure_store))
-        delta = TripleDelta.empty().apply_batch(
-            triples(("Jerry", "hasFriend", "Elaine")), (),
-            lambda triple: False)
-        overlay = OverlayStore.build(base, delta)
-        base.close()  # drop the creator's reference
-        assert not base.closed  # the overlay still holds one
-        base.load_so(1)
-        overlay.close()
-        assert base.closed
-        assert overlay.closed
 
 
 class TestSnapshotRetirement:
-    def figure_mmap_store(self, figure_store) -> MmapStore:
-        return MmapStore.from_bytes(dump_mmap_bytes(figure_store))
+    def figure_mmap_store(self, figure_store) -> BitMatStore:
+        return open_store_bytes(dump_mmap_bytes(figure_store))
 
     def test_swap_closes_the_retired_store(self, figure_store):
         from repro.server.snapshot import SnapshotManager
@@ -302,7 +171,7 @@ class TestSnapshotRetirement:
         path = str(tmp_path / "figure.lbrm")
         save_mmap_store(figure_store, path)
         service = QueryService(ServiceConfig(workers=2))
-        generations = [MmapStore.open(path) for _ in range(5)]
+        generations = [open_store(path) for _ in range(5)]
         for store in generations:
             service.load_store(store)
             assert service.execute(FIGURE_3_2_QUERY).ok
@@ -324,11 +193,11 @@ class TestLiveStoreMmapImages:
         live = LiveGraphStore.open(
             directory, config=LiveConfig(background=False),
             initial=figure_graph)
-        assert isinstance(live._base, MmapStore)
+        assert decodes(live._base) == 0
         assert self.base_image_names(directory) == ["base-00000000.lbrm"]
         live.apply_batch(triples(("Jerry", "hasFriend", "Elaine")), ())
         assert live.compact()
-        assert isinstance(live._base, MmapStore)
+        assert decodes(live._base) == 0   # the reopened image, not the rebuild
         assert self.base_image_names(directory) == ["base-00000001.lbrm"]
         visible = sorted(live.current_store().iter_triples())
         live.close()
@@ -337,45 +206,9 @@ class TestLiveStoreMmapImages:
         # recovery from the mmap image sees the identical dataset
         recovered = LiveGraphStore.open(
             directory, config=LiveConfig(background=False))
-        assert isinstance(recovered._base, MmapStore)
+        assert "extents" in recovered._base.cache_stats()
         assert sorted(recovered.current_store().iter_triples()) == visible
         recovered.close()
-
-    def test_store_image_format_still_supported(self, figure_graph,
-                                                tmp_path):
-        from repro.update import LiveConfig, LiveGraphStore
-
-        directory = str(tmp_path / "live")
-        config = LiveConfig(background=False, image_format="store")
-        live = LiveGraphStore.open(directory, config=config,
-                                   initial=figure_graph)
-        assert type(live._base) is BitMatStore
-        assert self.base_image_names(directory) == ["base-00000000.lbr"]
-        live.apply_batch(triples(("Jerry", "hasFriend", "Elaine")), ())
-        visible = sorted(live.current_store().iter_triples())
-        live.close()
-
-        # ...and a directory written by one format recovers under the
-        # other config: the image magic decides, not the config
-        recovered = LiveGraphStore.open(
-            directory, config=LiveConfig(background=False))
-        assert sorted(recovered.current_store().iter_triples()) == visible
-        # "Elaine" (so far object-only) becomes a subject: the overlay
-        # cannot represent that, so the batch checkpoints synchronously
-        # — and the rebuilt base comes back in the configured format
-        summary = recovered.apply_batch(
-            triples(("Elaine", "actedIn", "Veep")), ())
-        assert summary["checkpointed"]
-        assert isinstance(recovered._base, MmapStore)
-        recovered.close()
-
-    def test_unknown_image_format_raises(self, figure_graph, tmp_path):
-        from repro.update import LiveConfig, LiveGraphStore
-
-        config = LiveConfig(background=False, image_format="parquet")
-        with pytest.raises(StorageError):
-            LiveGraphStore.open(str(tmp_path / "live"), config=config,
-                                initial=figure_graph)
 
     def test_live_service_update_and_compact_over_mmap(self, figure_graph,
                                                        tmp_path):

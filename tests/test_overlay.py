@@ -4,8 +4,8 @@ import pytest
 
 from repro import BitMatStore, Graph, LBREngine, Triple, URI
 from repro.rdf.terms import Literal
-from repro.update import (LiveConfig, LiveGraphStore, MemFS, OverlayStore,
-                          TripleDelta)
+from repro.update import (LiveConfig, LiveGraphStore, MemFS, TripleDelta,
+                          overlay)
 from repro.update.overlay import SharedRegionViolation, store_has_triple
 
 
@@ -67,18 +67,18 @@ class TestTripleDelta:
         assert delta.size == 0
 
 
-class TestOverlayStore:
+class TestOverlay:
     def equivalent(self, adds, deletes):
         """Overlay visible set == rebuilt-from-scratch store."""
         base = build_base()
         delta = TripleDelta.empty().apply_batch(
             adds, deletes, lambda x: store_has_triple(base, x))
-        overlay = OverlayStore.build(base, delta)
-        overlay.freeze()
+        store = overlay(base, delta)
+        store.freeze()
         expected = (set(BASE) - set(deletes)) | set(adds)
         rebuilt = BitMatStore.build(Graph(expected))
-        assert visible_triples(overlay) == visible_triples(rebuilt)
-        return overlay, rebuilt
+        assert visible_triples(store) == visible_triples(rebuilt)
+        return store, rebuilt
 
     def test_pure_adds(self):
         # new subjects stay subjects, new objects stay objects — the
@@ -97,17 +97,17 @@ class TestOverlayStore:
                        Literal("42", datatype="http://x/int"))
         delta = TripleDelta.empty().apply_batch(
             (fresh,), (), lambda x: store_has_triple(base, x))
-        overlay = OverlayStore.build(base, delta)
-        assert store_has_triple(overlay, fresh)
-        sid = overlay.dictionary.subject_id(fresh.s)
+        store = overlay(base, delta)
+        assert store_has_triple(store, fresh)
+        sid = store.dictionary.subject_id(fresh.s)
         assert sid is not None and sid > base.num_subjects
 
     def test_queries_match_rebuilt_store(self):
-        overlay, rebuilt = self.equivalent(
+        store, rebuilt = self.equivalent(
             [t("b", "q", "a"), t("d", "p", "b")], [BASE[2]])
         query = ("SELECT ?x ?y WHERE { ?x <http://x/p> ?z . "
                  "?z <http://x/p> ?y . }")
-        left = LBREngine(overlay).execute(query)
+        left = LBREngine(store).execute(query)
         right = LBREngine(rebuilt).execute(query)
         assert left.as_multiset() == right.as_multiset()
 
@@ -119,7 +119,7 @@ class TestOverlayStore:
             (t("c", "p", "a"),), (),
             lambda x: store_has_triple(base, x))
         with pytest.raises(SharedRegionViolation):
-            OverlayStore.build(base, delta)
+            overlay(base, delta)
 
 
 class TestLiveGraphStore:

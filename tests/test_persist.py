@@ -1,37 +1,24 @@
-"""Store persistence round-trip tests."""
+"""The persistence codec, end to end through the one store image.
+
+What a reopened store must answer is ``test_store_contract.py``; what a
+damaged image must refuse is ``test_persist_corruption.py``.  Here: the
+term codec keeps every term kind, and arbitrary graphs survive the trip.
+"""
+
+import io
 
 import pytest
 from hypothesis import given, strategies as st
 
-from repro import BitMatStore, Graph, LBREngine, StorageError, Triple, URI
-from repro.bitmat.persist import (dump_store_bytes, load_store,
-                                  load_store_bytes, save_store)
+from repro import BitMatStore, Graph, StorageError, Triple, URI
+from repro.bitmat import dump_mmap_bytes, open_store_bytes
+from repro.bitmat.persist import (read_pairs, read_varint, write_pairs,
+                                  write_varint)
 from repro.rdf.terms import BNode, Literal
 
-from .conftest import FIGURE_3_2, FIGURE_3_2_QUERY, triples, uri
 
-
-class TestRoundTrip:
-    def test_figure_store_round_trip(self, figure_graph, tmp_path):
-        store = BitMatStore.build(figure_graph)
-        path = str(tmp_path / "figure.lbr")
-        written = store.save(path)
-        assert written > 0
-        loaded = BitMatStore.load(path)
-        assert loaded.num_triples == store.num_triples
-        assert loaded.num_shared == store.num_shared
-        assert loaded.num_subjects == store.num_subjects
-
-    def test_loaded_store_answers_queries(self, figure_graph, tmp_path):
-        store = BitMatStore.build(figure_graph)
-        path = str(tmp_path / "figure.lbr")
-        store.save(path)
-        loaded = BitMatStore.load(path)
-        original = LBREngine(store).execute(FIGURE_3_2_QUERY)
-        reloaded = LBREngine(loaded).execute(FIGURE_3_2_QUERY)
-        assert original.as_multiset() == reloaded.as_multiset()
-
-    def test_all_term_kinds_survive(self, tmp_path):
+class TestCodec:
+    def test_all_term_kinds_survive(self):
         graph = Graph([
             Triple(URI("http://ex/s"), URI("http://ex/p"),
                    Literal("plain")),
@@ -43,79 +30,29 @@ class TestRoundTrip:
             Triple(URI("http://ex/u"), URI("http://ex/p"),
                    Literal("unicode é\U0001F600")),
         ])
-        store = BitMatStore.build(graph)
-        path = str(tmp_path / "terms.lbr")
-        save_store(store, path)
-        loaded = load_store(path)
+        loaded = open_store_bytes(dump_mmap_bytes(BitMatStore.build(graph)))
         for triple in graph:
             sid, pid, oid = loaded.dictionary.encode_triple(triple)
             assert loaded.has_triple(sid, pid, oid)
+        loaded.close()
 
-    def test_empty_graph(self, tmp_path):
-        store = BitMatStore.build(Graph())
-        path = str(tmp_path / "empty.lbr")
-        store.save(path)
-        assert load_store(path).num_triples == 0
-
-    def test_bad_magic_rejected(self, tmp_path):
-        path = str(tmp_path / "junk.lbr")
-        with open(path, "wb") as handle:
-            handle.write(b"NOTASTORE")
+    def test_varint_round_trip_and_bounds(self):
+        for value in (0, 1, 127, 128, 2 ** 32, 2 ** 64 - 1):
+            buffer = io.BytesIO()
+            write_varint(buffer, value)
+            assert read_varint(io.BytesIO(buffer.getvalue())) == value
         with pytest.raises(StorageError):
-            load_store(path)
-
-    def test_truncated_file_rejected(self, figure_graph, tmp_path):
-        store = BitMatStore.build(figure_graph)
-        path = str(tmp_path / "trunc.lbr")
-        store.save(path)
-        with open(path, "rb") as handle:
-            payload = handle.read()
-        with open(path, "wb") as handle:
-            handle.write(payload[:len(payload) // 2])
+            write_varint(io.BytesIO(), -1)
         with pytest.raises(StorageError):
-            load_store(path)
-
-    def test_frozen_store_round_trips(self, figure_graph, tmp_path):
-        store = BitMatStore.build(figure_graph)
-        store.freeze()
-        path = str(tmp_path / "frozen.lbr")
-        save_store(store, path)
-        loaded = load_store(path)
-        assert loaded.num_triples == store.num_triples
-        original = LBREngine(store).execute(FIGURE_3_2_QUERY)
-        reloaded = LBREngine(loaded).execute(FIGURE_3_2_QUERY)
-        assert original.as_multiset() == reloaded.as_multiset()
-
-    def test_bytes_round_trip(self, figure_graph):
-        store = BitMatStore.build(figure_graph)
-        payload = dump_store_bytes(store)
-        loaded = load_store_bytes(payload)
-        assert loaded.num_triples == store.num_triples
-        assert sorted(loaded.iter_triples(),
-                      key=lambda t: (t.s.n3, t.p.n3, t.o.n3)) \
-            == sorted(store.iter_triples(),
-                      key=lambda t: (t.s.n3, t.p.n3, t.o.n3))
-
-    def test_every_single_bit_flip_in_body_is_detected(self,
-                                                       figure_graph):
-        """The CRC footer catches any one-bit corruption of the body."""
-        store = BitMatStore.build(figure_graph)
-        payload = bytearray(dump_store_bytes(store))
-        # flip one bit in a spread of body positions (first byte after
-        # the magic, a middle byte, the last body byte)
-        body_end = len(payload) - 4
-        for position in (len(b"LBRSTORE2"), body_end // 2, body_end - 1):
-            corrupted = bytearray(payload)
-            corrupted[position] ^= 0x10
-            with pytest.raises(StorageError):
-                load_store_bytes(bytes(corrupted))
-
-    def test_corrupted_footer_is_detected(self, figure_graph):
-        store = BitMatStore.build(figure_graph)
-        payload = bytearray(dump_store_bytes(store))
-        payload[-1] ^= 0xFF
+            read_varint(io.BytesIO(b"\x80"))        # truncated
         with pytest.raises(StorageError):
-            load_store_bytes(bytes(payload))
+            read_varint(io.BytesIO(b"\xff" * 11))   # longer than 10 bytes
+
+    def test_pair_blocks_delta_encode_per_subject(self):
+        pairs = [(1, 5), (1, 9), (3, 2), (3, 1000), (70000, 1)]
+        buffer = io.BytesIO()
+        write_pairs(buffer, pairs)
+        assert read_pairs(io.BytesIO(buffer.getvalue())) == pairs
 
 
 names = st.text(alphabet="abcdef", min_size=1, max_size=3)
@@ -125,16 +62,10 @@ class TestRoundTripProperty:
     @given(st.sets(st.tuples(names, names, names), min_size=1,
                    max_size=30))
     def test_random_graphs_round_trip(self, rows):
-        import tempfile
-
         graph = Graph(Triple(URI("http://x/" + s), URI("http://p/" + p),
                              URI("http://x/" + o)) for s, p, o in rows)
         store = BitMatStore.build(graph)
-        with tempfile.TemporaryDirectory() as tmp_dir:
-            path = f"{tmp_dir}/g.lbr"
-            save_store(store, path)
-            loaded = load_store(path)
+        loaded = open_store_bytes(dump_mmap_bytes(store))
         assert loaded.num_triples == store.num_triples
-        for triple in graph:
-            encoded = loaded.dictionary.encode_triple(triple)
-            assert loaded.has_triple(*encoded)
+        assert sorted(loaded.iter_triples()) == sorted(store.iter_triples())
+        loaded.close()

@@ -1,47 +1,47 @@
-"""Corruption corpus: every on-disk format rejects every mangled image.
+"""Corruption corpus: the store image rejects every mangled copy.
 
-One parametrized battery over the four store formats (``LBRSTORE1``,
-``LBRSTORE2``, ``LBRSTORE3``, ``LBRMMAP1``): truncations at every
-stride, varint bombs, single-bit flips in checksummed regions, and
-trailing garbage must all surface as a typed
-:class:`~repro.exceptions.StorageError` — never a silent wrong
-dataset, never an uncontrolled exception.  Plus the atomicity
-regression: a failed save must leave the previous image untouched.
+One battery over ``LBRMMAP1``: truncations at every stride, varint
+bombs, single-bit flips in checksummed regions, and trailing garbage
+must all surface as a typed :class:`~repro.exceptions.StorageError` —
+never a silent wrong dataset, never an uncontrolled exception.  So must
+the formats this version no longer reads (the ``LBRSTORE1/2/3`` magics,
+a version-1 header), with a message that says what to do.  Plus the
+writer's two promises: a failed save leaves the previous image
+untouched, and the bytes written for a given store never change.
 """
 
 from __future__ import annotations
 
+import hashlib
 import struct
 import zlib
 
 import pytest
 
-from repro import BitMatStore, StorageError
-from repro.bitmat.backend import open_store_bytes
-from repro.bitmat.mmapstore import _EXTENT, _HEADER, dump_mmap_bytes
-from repro.bitmat.persist import (_MAGIC, _MAGIC_V1, _MAGIC_V3,
-                                  dump_store_bytes)
+from repro import StorageError
+from repro.bitmat import (dump_mmap_bytes, is_store_image, open_store,
+                          open_store_bytes, save_mmap_store)
+from repro.bitmat.mmapstore import _EXTENT, _HEADER
 
-FORMATS = ["LBRSTORE1", "LBRSTORE2", "LBRSTORE3", "LBRMMAP1"]
-
-
-def dump_as(store: BitMatStore, fmt: str) -> bytes:
-    if fmt == "LBRMMAP1":
-        return dump_mmap_bytes(store)
-    if fmt == "LBRSTORE3":
-        return dump_store_bytes(store)
-    # v2 is the v3 body without the statistics section
-    payload = dump_store_bytes(store, include_stats=False)
-    if fmt == "LBRSTORE1":
-        # v1 is the v2 body without the CRC footer, under the old magic
-        return _MAGIC_V1 + payload[len(_MAGIC):-4]
-    return payload
+#: ``dump_mmap_bytes`` of the Figure 3.2 store, recorded at the commit
+#: before the store classes were collapsed: the image a store produces
+#: is part of the contract (``image_bytes_per_triple`` is benchmarked)
+FIGURE_IMAGE_SHA256 = (
+    "ccb6c7a73d9c518a1b5217f792aa2820f017885716c364b277697cda316564a2")
 
 
-def rewrite_v2_crc(body: bytes) -> bytes:
-    """A v2 image whose CRC genuinely covers *body* — the adversarial
-    case where the checksum cannot save the parser."""
-    return body + struct.pack("<I", zlib.crc32(body))
+def with_header(payload: bytes, **changes) -> bytes:
+    """*payload* with header fields replaced and the header CRC redone."""
+    names = ["magic", "version", "page_shift", "reserved", "num_shared",
+             "num_subjects", "num_objects", "num_predicates",
+             "num_triples", "dict_off", "dict_len", "index_off",
+             "index_len", "file_len", "dict_crc", "index_crc",
+             "header_crc"]
+    fields = dict(zip(names, _HEADER.unpack(payload[:_HEADER.size])))
+    fields.update(changes)
+    header = _HEADER.pack(*fields.values())
+    header = header[:-4] + struct.pack("<I", zlib.crc32(header[:-4]))
+    return header + payload[_HEADER.size:]
 
 
 def mmap_regions(payload: bytes) -> list[tuple[int, int]]:
@@ -51,16 +51,14 @@ def mmap_regions(payload: bytes) -> list[tuple[int, int]]:
     bit-flip tests must aim at bytes a reader actually consumes.
     """
     fields = _HEADER.unpack(payload[:_HEADER.size])
-    (_, version, _, _, _, _, _, num_predicates, _, dict_off, dict_len,
+    (_, _, _, _, _, _, _, num_predicates, _, dict_off, dict_len,
      index_off, index_len, _, _, _, _) = fields
+    # the statistics section (length/CRC prefix + payload)
+    stats_off = index_off + index_len
+    stats_len = struct.unpack("<I", payload[stats_off:stats_off + 4])[0]
     regions = [(0, _HEADER.size), (dict_off, dict_off + dict_len),
-               (index_off, index_off + index_len)]
-    if version >= 2:
-        # the statistics section (length/CRC prefix + payload)
-        stats_off = index_off + index_len
-        stats_len = struct.unpack(
-            "<I", payload[stats_off:stats_off + 4])[0]
-        regions.append((stats_off, stats_off + 8 + stats_len))
+               (index_off, index_off + index_len),
+               (stats_off, stats_off + 8 + stats_len)]
     for pid in range(1, num_predicates + 1):
         record = payload[index_off + (pid - 1) * _EXTENT.size:
                          index_off + pid * _EXTENT.size]
@@ -90,17 +88,13 @@ def patch_extent(payload: bytes, blob: bytes) -> bytes:
             offset, length, pair_count, zlib.crc32(patched))
         break
     index_bytes = bytes(image[index_off:index_off + index_len])
-    fields[15] = zlib.crc32(index_bytes)  # index_crc
-    header = _HEADER.pack(*fields)
-    header = header[:-4] + struct.pack("<I", zlib.crc32(header[:-4]))
-    image[:_HEADER.size] = header
-    return bytes(image)
+    return with_header(bytes(image), index_crc=zlib.crc32(index_bytes))
 
 
 def open_and_scan(payload: bytes) -> None:
     """Open an image and force every lazy decode.
 
-    ``LBRMMAP1`` validates header/dictionary/index at open but extent
+    Opening validates header/dictionary/index/statistics, but extent
     bodies only at materialization — damage there must still surface
     as a StorageError, just on first touch instead of at open.
     """
@@ -112,93 +106,101 @@ def open_and_scan(payload: bytes) -> None:
 
 
 @pytest.fixture(scope="module")
-def images(figure_store) -> dict[str, bytes]:
-    return {fmt: dump_as(figure_store, fmt) for fmt in FORMATS}
+def image(figure_store) -> bytes:
+    return dump_mmap_bytes(figure_store)
 
 
-@pytest.mark.parametrize("fmt", FORMATS)
 class TestCorruptionCorpus:
-    def test_round_trips_before_mangling(self, images, figure_store, fmt):
-        store = open_store_bytes(images[fmt])
+    def test_round_trips_before_mangling(self, image, figure_store):
+        store = open_store_bytes(image)
         assert (sorted(store.iter_triples())
                 == sorted(figure_store.iter_triples()))
         store.close()
 
-    def test_every_truncation_is_rejected(self, images, fmt):
-        payload = images[fmt]
+    def test_every_truncation_is_rejected(self, image):
         # every strict prefix on a stride, plus the boundary cases
-        lengths = set(range(0, len(payload), 37))
-        lengths.update((1, 8, 9, len(payload) // 2, len(payload) - 1))
+        lengths = set(range(0, len(image), 37))
+        lengths.update((1, 8, 9, len(image) // 2, len(image) - 1))
         for length in sorted(lengths):
             with pytest.raises(StorageError):
-                open_store_bytes(payload[:length])
+                open_store_bytes(image[:length])
 
-    def test_trailing_bytes_are_rejected(self, images, fmt):
-        for junk in (b"\x00", b"\x00" * 64, b"LBRSTORE2"):
+    def test_trailing_bytes_are_rejected(self, image):
+        for junk in (b"\x00", b"\x00" * 64, b"LBRMMAP1"):
             with pytest.raises(StorageError):
-                open_store_bytes(images[fmt] + junk)
+                open_store_bytes(image + junk)
 
-    def test_varint_bomb_is_rejected(self, images, fmt):
+    def test_varint_bomb_is_rejected(self, image):
         """A run of continuation bits must die at the 10-byte cap, not
         decode into an unbounded integer."""
-        bomb = b"\xff" * 11
-        if fmt == "LBRSTORE1":
-            payload = _MAGIC_V1 + bomb
-        elif fmt == "LBRSTORE2":
-            # recompute the CRC so only the varint cap can object
-            payload = rewrite_v2_crc(_MAGIC + bomb)
-        elif fmt == "LBRSTORE3":
-            payload = rewrite_v2_crc(_MAGIC_V3 + bomb)
-        else:
-            payload = patch_extent(images[fmt], bomb)
         with pytest.raises(StorageError) as excinfo:
-            open_and_scan(payload)
+            open_and_scan(patch_extent(image, b"\xff" * 11))
         assert "varint" in str(excinfo.value)
 
-    def test_bit_flips_in_checksummed_bytes_are_rejected(self, images,
-                                                         fmt):
-        payload = images[fmt]
-        if fmt == "LBRSTORE1":
-            pytest.skip("v1 has no checksum; its parser catches only "
-                        "structural damage (covered by the other tests)")
-        if fmt in ("LBRSTORE2", "LBRSTORE3"):
-            positions = range(0, len(payload), 101)
-        else:
-            positions = [start + step
-                         for start, end in mmap_regions(payload)
-                         for step in range(0, end - start,
-                                           max(1, (end - start) // 3))]
+    def test_bit_flips_in_checksummed_bytes_are_rejected(self, image):
+        positions = [start + step
+                     for start, end in mmap_regions(image)
+                     for step in range(0, end - start,
+                                       max(1, (end - start) // 3))]
         for position in positions:
-            mangled = bytearray(payload)
+            mangled = bytearray(image)
             mangled[position] ^= 0x04
             with pytest.raises(StorageError):
                 open_and_scan(bytes(mangled))
 
 
+class TestRetiredFormats:
+    """Images this version no longer reads fail typed, with the way out."""
+
+    @pytest.mark.parametrize("magic", [b"LBRSTORE1", b"LBRSTORE2",
+                                       b"LBRSTORE3"])
+    def test_legacy_magics_say_rebuild(self, magic, tmp_path):
+        payload = magic + b"\x00" * 64
+        with pytest.raises(StorageError, match="rebuild.*N-Triples"):
+            open_store_bytes(payload)
+        path = str(tmp_path / "old.lbr")
+        with open(path, "wb") as handle:
+            handle.write(payload)
+        # still recognized as an image, so the CLI routes it to the
+        # opener (and its message) instead of the N-Triples parser
+        assert is_store_image(path)
+        with pytest.raises(StorageError, match="rebuild.*N-Triples"):
+            open_store(path)
+
+    def test_version_1_header_says_rebuild(self, image):
+        with pytest.raises(StorageError, match="version 1.*rebuild"):
+            open_store_bytes(with_header(image, version=1))
+
+    def test_unknown_version_is_rejected(self, image):
+        with pytest.raises(StorageError, match="version 3"):
+            open_store_bytes(with_header(image, version=3))
+
+
 class TestCraftedMmapCorruption:
     """Damage the checksums cannot catch (they were recomputed)."""
 
-    def test_undeclared_pairs_in_extent(self, images):
+    def test_undeclared_pairs_in_extent(self, image):
         # an extent whose varint stream decodes fine but disagrees with
         # the index's pair_count
-        payload = patch_extent(images["LBRMMAP1"],
-                               bytes([1, 0, 0]))  # count=1, pair (0,0)
+        payload = patch_extent(image, bytes([1, 0, 0]))  # count=1, (0,0)
         with pytest.raises(StorageError):
             open_and_scan(payload)
 
-    def test_file_length_mismatch(self, images):
-        payload = bytearray(images["LBRMMAP1"])
-        fields = list(_HEADER.unpack(bytes(payload[:_HEADER.size])))
-        fields[13] += 4096  # file_len
-        header = _HEADER.pack(*fields)
-        header = header[:-4] + struct.pack("<I", zlib.crc32(header[:-4]))
-        payload[:_HEADER.size] = header
+    def test_file_length_mismatch(self, image):
         with pytest.raises(StorageError):
-            open_store_bytes(bytes(payload))
+            open_store_bytes(with_header(image, file_len=len(image) + 4096))
 
-    def test_out_of_bounds_extent(self, images):
-        payload = bytearray(images["LBRMMAP1"])
-        fields = list(_HEADER.unpack(bytes(payload[:_HEADER.size])))
+    def test_unaligned_page_shift_is_honoured(self, image):
+        # the reader validates extents against the header's page shift,
+        # whatever the writer's constant is: 4 KiB-aligned extents are
+        # not 64 KiB-aligned
+        with pytest.raises(StorageError, match="out of bounds"):
+            open_store_bytes(with_header(image, page_shift=16))
+        open_store_bytes(with_header(image, page_shift=9)).close()
+
+    def test_out_of_bounds_extent(self, image):
+        payload = bytearray(image)
+        fields = _HEADER.unpack(image[:_HEADER.size])
         num_predicates, index_off, index_len = (fields[7], fields[11],
                                                 fields[12])
         for pid in range(1, num_predicates + 1):
@@ -211,39 +213,31 @@ class TestCraftedMmapCorruption:
                 fields[13] * 2, length, pair_count, crc)  # past the end
             break
         index_bytes = bytes(payload[index_off:index_off + index_len])
-        fields[15] = zlib.crc32(index_bytes)
-        header = _HEADER.pack(*fields)
-        header = header[:-4] + struct.pack("<I", zlib.crc32(header[:-4]))
-        payload[:_HEADER.size] = header
         with pytest.raises(StorageError):
-            open_store_bytes(bytes(payload))
+            open_store_bytes(with_header(
+                bytes(payload), index_crc=zlib.crc32(index_bytes)))
 
 
-class TestAtomicSave:
-    def failing_replace(self, monkeypatch):
+class TestWriter:
+    def test_image_bytes_are_pinned(self, image):
+        assert hashlib.sha256(image).hexdigest() == FIGURE_IMAGE_SHA256
+
+    def test_failed_save_leaves_previous_image_intact(self, figure_store,
+                                                      tmp_path,
+                                                      monkeypatch):
         from repro import fsio
+
+        path = str(tmp_path / "image.bin")
+        save_mmap_store(figure_store, path)
+        with open(path, "rb") as handle:
+            before = handle.read()
 
         def boom(self, source, destination):
             raise OSError("simulated rename failure")
 
         monkeypatch.setattr(fsio.RealFS, "replace", boom)
-
-    @pytest.mark.parametrize("saver", ["save_store", "save_mmap_store"])
-    def test_failed_save_leaves_previous_image_intact(self, figure_store,
-                                                      tmp_path,
-                                                      monkeypatch, saver):
-        from repro.bitmat.mmapstore import save_mmap_store
-        from repro.bitmat.persist import save_store
-
-        save = {"save_store": save_store,
-                "save_mmap_store": save_mmap_store}[saver]
-        path = str(tmp_path / "image.bin")
-        save(figure_store, path)
-        with open(path, "rb") as handle:
-            before = handle.read()
-        self.failing_replace(monkeypatch)
         with pytest.raises(OSError):
-            save(figure_store, path)
+            save_mmap_store(figure_store, path)
         with open(path, "rb") as handle:
             assert handle.read() == before
         store = open_store_bytes(before, source=path)

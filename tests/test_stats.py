@@ -2,9 +2,8 @@
 
 The cost-based ordering pass (:mod:`repro.plan.cost`) trusts these
 numbers, so they are pinned exactly: distinct counts, histogram
-bucketing, and the skew summary derived from the histogram.  Both
-on-disk formats must round-trip the section byte-identically, and
-images predating the section must keep loading with statistics absent.
+bucketing, and the skew summary derived from the histogram.  The store
+image must round-trip the section exactly, without decoding an extent.
 """
 
 from __future__ import annotations
@@ -14,10 +13,11 @@ import pytest
 from repro import BitMatStore, StorageError
 from repro.bitmat.backend import open_store_bytes
 from repro.bitmat.mmapstore import dump_mmap_bytes
-from repro.bitmat.persist import dump_store_bytes
 from repro.bitmat.stats import PredicateStats, StoreStats
 from repro.rdf.graph import Graph
 from repro.rdf.terms import URI
+
+from .conftest import decodes
 
 
 @pytest.fixture()
@@ -97,80 +97,40 @@ class TestEncoding:
             StoreStats.from_bytes(stats.to_bytes())
 
 
-class TestFormatRoundTrips:
-    def test_lbrstore3_round_trip(self, skewed_store):
+class TestImageRoundTrip:
+    def test_round_trip_without_decoding(self, skewed_store):
         skewed_store.freeze()
-        image = dump_store_bytes(skewed_store)
-        assert image.startswith(b"LBRSTORE3")
-        loaded = open_store_bytes(image)
-        assert loaded.stats().predicates == dict(
-            skewed_store.stats().predicates)
-
-    def test_dump_collects_when_unfrozen(self, skewed_store):
-        # `lbr index` saves unfrozen stores; images must still carry
-        # statistics so later opens get cost-based ordering
-        image = dump_store_bytes(skewed_store)
-        assert open_store_bytes(image).stats() is not None
-
-    def test_legacy_lbrstore2_loads_without_stats(self, skewed_store):
-        image = dump_store_bytes(skewed_store, include_stats=False)
-        assert image.startswith(b"LBRSTORE2")
-        loaded = open_store_bytes(image)
-        assert loaded.stats() is None
-        assert (sorted(loaded.iter_triples())
-                == sorted(skewed_store.iter_triples()))
-
-    def test_mmap_v2_round_trip_without_decoding(self, skewed_store):
-        skewed_store.freeze()
-        image = dump_mmap_bytes(skewed_store)
-        loaded = open_store_bytes(image)
+        loaded = open_store_bytes(dump_mmap_bytes(skewed_store))
         try:
             assert loaded.stats().predicates == dict(
                 skewed_store.stats().predicates)
             # statistics live in their own eager section: reading them
             # must not have materialized a single extent
-            assert loaded.materializations == 0
+            assert decodes(loaded) == 0
         finally:
             loaded.close()
 
-    def test_mmap_v1_loads_without_stats(self, skewed_store):
-        """A version-1 image (no statistics section) still opens."""
-        import struct
-        import zlib
-
-        from repro.bitmat.mmapstore import _HEADER, _STATS_PREFIX
-
-        image = bytearray(dump_mmap_bytes(skewed_store))
-        fields = list(_HEADER.unpack(bytes(image[:_HEADER.size])))
-        index_off, index_len = fields[11], fields[12]
-        # zero the stats section (it becomes uncovered padding) and
-        # stamp the header back to version 1
-        stats_off = index_off + index_len
-        stats_len = struct.unpack(
-            "<I", image[stats_off:stats_off + 4])[0]
-        image[stats_off:stats_off + _STATS_PREFIX.size + stats_len] = (
-            bytes(_STATS_PREFIX.size + stats_len))
-        fields[1] = 1
-        header = _HEADER.pack(*fields)
-        header = header[:-4] + struct.pack("<I", zlib.crc32(header[:-4]))
-        image[:_HEADER.size] = header
-        loaded = open_store_bytes(bytes(image))
-        try:
-            assert loaded.stats() is None
-            assert (sorted(loaded.iter_triples())
-                    == sorted(skewed_store.iter_triples()))
-        finally:
-            loaded.close()
+    def test_dump_collects_when_unfrozen(self, skewed_store):
+        # `lbr freeze` saves unfrozen stores; images must still carry
+        # statistics so later opens get cost-based ordering
+        assert skewed_store.stats() is None
+        loaded = open_store_bytes(dump_mmap_bytes(skewed_store))
+        assert loaded.stats().get(1).cardinality == 40
+        loaded.close()
 
     def test_overlay_has_no_stats(self, skewed_store):
         from repro.rdf.terms import Triple
-        from repro.update.overlay import OverlayStore, TripleDelta
+        from repro.update.overlay import TripleDelta, overlay
 
         skewed_store.freeze()
         delta = TripleDelta(
             added=frozenset({Triple(URI("new-s"), URI("p1"),
                                     URI("new-o"))}),
             deleted=frozenset())
-        overlay = OverlayStore.build(skewed_store, delta)
-        overlay.freeze()
-        assert overlay.stats() is None
+        store = overlay(skewed_store, delta)
+        store.freeze()
+        assert store.stats() is None
+        # ...but an image dumped from it carries freshly collected ones
+        loaded = open_store_bytes(dump_mmap_bytes(store))
+        assert loaded.stats().get(1).cardinality == 41
+        loaded.close()
