@@ -14,27 +14,17 @@ integer — so that large AND/OR kernels execute as single word-parallel
 CPython primitives; the packed mirror is cached on the immutable vector
 and amortized across the pruning passes.  Pure Python pays ~100× per
 visited run where C++ pays one word op, so without this mirror the
-interval representation would invert the paper's cost model (see the
-representation ablation in ``benchmarks/test_representation.py``).
+interval representation would invert the paper's cost model.  Whether
+the mirror pays for its resident bytes is measured end to end by
+``e2ebench`` (``peak_rss_mb`` beside ``rows_per_s``); the two backings
+are held result-identical by ``tests/test_packed.py``.
 """
 
 from __future__ import annotations
 
-import os
 from array import array
 from bisect import bisect_left, bisect_right
 from typing import Callable, Iterable, Iterator, Sequence
-
-#: Optional numpy fast path for bulk position decoding.  Opt-in via the
-#: ``LBR_NUMPY`` environment variable so the stdlib-only build stays the
-#: default (``dependencies = []``); results are bit-identical either way
-#: (pinned by the kernel parity tests).
-_np = None
-if os.environ.get("LBR_NUMPY", "").lower() not in ("", "0", "false"):
-    try:  # pragma: no cover - exercised via the parity tests
-        import numpy as _np
-    except ImportError:
-        _np = None
 
 #: run-count threshold below which pure interval algorithms are used
 _SPARSE_RUNS = 64
@@ -328,16 +318,8 @@ class BitVector:
         The batched join kernels and the statistics collector consume
         candidate lists as contiguous int64 buffers; building them run
         by run keeps the conversion at C speed (``extend(range(...))``
-        per run, or one ``unpackbits``/``flatnonzero`` sweep on the
-        numpy fast path).
+        per run).
         """
-        if _np is not None and self._bits is not None:
-            data = self._bits.to_bytes((self.size + 7) // 8, "little")
-            positions = _np.flatnonzero(_np.unpackbits(
-                _np.frombuffer(data, dtype=_np.uint8), bitorder="little"))
-            out = array("q")
-            out.frombytes(positions.astype("<i8").tobytes())
-            return out
         out = array("q")
         extend = out.extend
         bounds = self._ensure_bounds()

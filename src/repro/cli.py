@@ -37,6 +37,7 @@ from .bitmat.backend import is_store_image, open_store
 from .bitmat.mmapstore import PAGE_SHIFT, save_mmap_store
 from .bitmat.store import BitMatStore
 from .core.engine import LBREngine
+from .exceptions import ParseError, UnsupportedQueryError
 from .rdf import ntriples
 from .rdf.terms import NULL
 
@@ -303,7 +304,7 @@ def _query(args) -> int:
     graph = store = None
     if not args.store:
         graph = ntriples.load(args.data)
-        if args.engine == "lbr":
+        if args.engine == "lbr" or args.explain:  # explain is LBR's plan
             store = BitMatStore.build(graph)
     else:
         store = open_store(args.store)
@@ -342,8 +343,10 @@ def _query(args) -> int:
                   f"best-match={stats.best_match_required}",
                   file=sys.stderr)
         return 0
+    except (ParseError, UnsupportedQueryError) as error:
+        print(f"error: {error}", file=sys.stderr)
+        return 2
     finally:
-        # also on the ParseError / UnsupportedQueryError edges
         if store is not None:
             store.close()
 

@@ -105,8 +105,8 @@ class QueryStats:
 class LBREngine:
     """Left Bit Right query engine over a :class:`BitMatStore`.
 
-    The ablation switches exist for the benchmark suite:
-    *enable_prune* turns Algorithm 3.2 off (the multi-way join alone is
+    The ablation switches exist for the paper-table ablations and the
+    fuzz oracle: *enable_prune* turns Algorithm 3.2 off (the multi-way join alone is
     still correct for acyclic well-designed queries only when combined
     with nullification, so disabling pruning forces the
     nullification/best-match path), and *enable_active_prune* controls
@@ -117,16 +117,10 @@ class LBREngine:
                  enable_active_prune: bool = True,
                  plan_cache_size: int = PLAN_CACHE_SIZE,
                  max_join_rows: int | None = None,
-                 thread_safe: bool = False,
-                 enable_state_memo: bool = True) -> None:
+                 thread_safe: bool = False) -> None:
         self.store = store
         self.enable_prune = enable_prune
         self.enable_active_prune = enable_active_prune
-        #: memoize post-prune TP states on the cached plan so warm
-        #: repeats skip init+prune entirely (sound because the engine's
-        #: store snapshot is immutable and plans bake their constants
-        #: in; off switch exists for ablation benchmarks)
-        self.enable_state_memo = enable_state_memo
         #: optional resource limit: a branch join that produces more
         #: rows raises :class:`~repro.exceptions.BudgetExceededError`
         #: (used by the fuzz harness and as the scheduler's default
@@ -439,7 +433,7 @@ class EngineSession:
         # pruning the join only *reads* the states (enumeration plus
         # add-only transpose/fold caches), so the memoized states are
         # shared safely across executions and concurrent sessions.
-        memo = plan.pruned_memo if engine.enable_state_memo else None
+        memo = plan.pruned_memo
         if memo is not None:
             sorted_states, group_plan, aborted = memo
             stats.triples_after_pruning = (
@@ -467,8 +461,7 @@ class EngineSession:
                     stats.aborted_empty = True
                     stats.t_init = time.perf_counter() - t0
                     stats.triples_after_pruning = 0
-                    if engine.enable_state_memo:
-                        plan.pruned_memo = (None, None, True)
+                    plan.pruned_memo = (None, None, True)
                     return [], tuple(), stats
             _fail_groups_with_absent_ground(states, gosn)
             stats.t_init = time.perf_counter() - t0
@@ -502,8 +495,7 @@ class EngineSession:
         if memo is None:
             sorted_states = _sort_states(states, gosn, plan.ranker)
             group_plan = GroupPlan(gosn, sorted_states)
-            if engine.enable_state_memo:
-                plan.pruned_memo = (sorted_states, group_plan, False)
+            plan.pruned_memo = (sorted_states, group_plan, False)
         encoded: list[tuple] = []
         if self.deadline is None:
             sink, sink_many = encoded.append, encoded.extend

@@ -100,58 +100,3 @@ class TestReporting:
         text = format_verification(self._suite().queries)
         assert "Tiny Q1: OK" in text
 
-
-class TestCompareGate:
-    """repro.bench.compare: relative, absolute, and min-ratio floors."""
-
-    @staticmethod
-    def report(value: float) -> dict:
-        return {"workload": {"geomean_speedup": value}}
-
-    def test_within_regression_budget_passes(self):
-        from repro.bench.compare import compare
-        result = compare(self.report(5.0), self.report(4.0),
-                         max_regression=0.25)
-        assert not result["regressed"]
-
-    def test_regression_past_budget_fails(self):
-        from repro.bench.compare import compare
-        result = compare(self.report(5.0), self.report(3.0),
-                         max_regression=0.25)
-        assert result["regressed"]
-
-    def test_min_ratio_demands_improvement(self):
-        from repro.bench.compare import compare
-        # matching the baseline is no longer enough with min_ratio>1
-        same = compare(self.report(5.0), self.report(5.0),
-                       min_ratio=1.3)
-        assert same["regressed"]
-        assert same["floor"] == pytest.approx(6.5)
-        improved = compare(self.report(5.0), self.report(6.6),
-                           min_ratio=1.3)
-        assert not improved["regressed"]
-
-    def test_floors_compose_strictest_wins(self):
-        from repro.bench.compare import compare
-        result = compare(self.report(5.0), self.report(7.0),
-                         max_regression=0.25, absolute_floor=8.0,
-                         min_ratio=1.3)
-        assert result["floor"] == pytest.approx(8.0)
-        assert result["regressed"]
-
-    def test_min_ratio_shown_in_table(self):
-        from repro.bench.compare import compare, format_table
-        result = compare(self.report(5.0), self.report(7.0),
-                         min_ratio=1.3)
-        assert "1.3x base" in format_table(result)
-
-    def test_cli_min_ratio(self, tmp_path):
-        import json
-
-        from repro.bench.compare import main
-        base = tmp_path / "base.json"
-        cur = tmp_path / "cur.json"
-        base.write_text(json.dumps(self.report(5.0)))
-        cur.write_text(json.dumps(self.report(5.5)))
-        assert main([str(base), str(cur), "--min-ratio", "1.3"]) == 1
-        assert main([str(base), str(cur), "--min-ratio", "1.05"]) == 0

@@ -231,6 +231,32 @@ class TestDualBacking:
         merged = BitVector.union_many(parts, DENSE_SIZE)
         assert merged.count() == DENSE_SIZE
 
+    @pytest.mark.parametrize("shape", ["sparse", "dense", "mixed"])
+    def test_kernels_match_per_element_model(self, shape):
+        """The batched AND/OR/candidate-scan kernels at join width, on
+        isolated bits, long runs and one of each, against set algebra."""
+        size = 1 << 16
+
+        def sparse(step, phase=0):
+            return BitVector.from_sorted_positions(
+                size, range(phase, size, step))
+
+        def dense(phase=0):
+            return BitVector.from_intervals(
+                size, ((s, min(s + 48, size)) for s in range(phase, size, 64)))
+
+        a, b = {"sparse": (sparse(97), sparse(89, phase=13)),
+                "dense": (dense(), dense(phase=29)),
+                "mixed": (sparse(61), dense())}[shape]
+        set_a, set_b = set(a.iter_positions()), set(b.iter_positions())
+        assert a.and_(b).positions() == sorted(set_a & set_b)
+        assert a.or_(b).positions() == sorted(set_a | set_b)
+        for vector in (a, b, a.and_(b), a.or_(b)):
+            assert list(vector.positions_array()) == vector.positions()
+        rows = [sparse(193 + 2 * i, phase=i) for i in range(64)]
+        assert BitVector.union_many(rows, size).positions() == sorted(
+            set().union(*(row.iter_positions() for row in rows)))
+
     def test_mixed_backing_operations(self):
         packed = dense_vec(2).and_(dense_vec(2))  # bits-backed
         sparse = vec({2, 4, 100}, size=DENSE_SIZE)  # interval-backed

@@ -68,6 +68,14 @@ class TestIndexAndQuery:
         assert "branch 1/1" in out
         assert "(P1 OPT P2)" in out
 
+    @pytest.mark.parametrize("engine", ["naive", "columnstore"])
+    def test_explain_with_a_baseline_engine(self, data_file, engine,
+                                            capsys):
+        """--explain prints LBR's plan whatever --engine names."""
+        assert main(["query", "--data", data_file, "--query", QUERY,
+                     "--engine", engine, "--explain"]) == 0
+        assert "(P1 OPT P2)" in capsys.readouterr().out
+
     def test_query_requires_text(self, data_file, capsys):
         assert main(["query", "--data", data_file]) == 2
 
@@ -136,8 +144,10 @@ class TestFreeze:
             assert "shared=" in capsys.readouterr().out
 
     def test_store_commands_leak_no_handles(self, data_file, tmp_path):
-        """`info` and `query --store` (also on the unsupported-query
-        edge) close the image they map: no ResourceWarning."""
+        """`info` and `query --store` (also on the malformed- and
+        unsupported-query edges, which exit 2 with a one-line error
+        instead of a traceback) close the image they map: no
+        ResourceWarning."""
         image = str(tmp_path / "data.lbrm")
         assert main(["freeze", data_file, "--out", image]) == 0
         env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
@@ -145,13 +155,18 @@ class TestFreeze:
                 (["info", image], 0),
                 (["query", "--store", image, "--query", QUERY], 0),
                 (["query", "--store", image, "--query",
-                  "SELECT * WHERE { ?a ?p ?b }"], 1)):
+                  "SELECT * WHERE { ?a ?p ?b }"], 2),
+                (["query", "--store", image, "--query",
+                  "SELECT WHERE {"], 2)):
             done = subprocess.run(
                 [sys.executable, "-X", "dev", "-W",
                  "error::ResourceWarning", "-m", "repro", *argv],
                 env=env, capture_output=True, text=True)
             assert done.returncode == code, done.stderr
             assert "ResourceWarning" not in done.stderr, done.stderr
+            assert "Traceback" not in done.stderr, done.stderr
+            if code == 2:
+                assert done.stderr.startswith("error: "), done.stderr
 
 
 class TestServe:

@@ -296,22 +296,24 @@ class TestPlanCache:
         assert warm.rows == cold.rows
 
     def test_state_memo_matches_memoless_execution(self):
-        """The pruned-state memo is a pure cache: identical rows and
-        pruned sizes with the ablation switch on and off."""
+        """The pruned-state memo is a pure cache: a warm repeat replays
+        it (no init, no prune) and reports the rows and pruned sizes of
+        the cold run and of a fresh engine that never memoized."""
         graph = Graph(triples(*FIGURE_3_2))
         memoized = LBREngine(BitMatStore.build(graph))
-        plain = LBREngine(BitMatStore.build(graph),
-                          enable_state_memo=False)
         for query in PLAN_KEY_QUERIES:
             cold = memoized.execute(query)
             cold_stats = memoized.last_stats
             warm = memoized.execute(query)
             warm_stats = memoized.last_stats
-            reference = plain.execute(query)
+            fresh = LBREngine(BitMatStore.build(graph))
+            reference = fresh.execute(query)
+            assert cold_stats.t_init > 0
+            assert warm_stats.t_init == warm_stats.t_prune == 0
             assert warm.rows == cold.rows == reference.rows
             assert (warm_stats.triples_after_pruning
                     == cold_stats.triples_after_pruning
-                    == plain.last_stats.triples_after_pruning)
+                    == fresh.last_stats.triples_after_pruning)
 
     def test_state_memo_lifetime_tied_to_plan_cache(self):
         """Evicting a plan drops its memo with it: re-executing after

@@ -1,12 +1,15 @@
 """Metamorphic guards over the full example-query suites.
 
-Two properties every Appendix E template query must satisfy on its
+Three properties every Appendix E template query must satisfy on its
 generated dataset, regardless of engine internals:
 
 * **plan-cache warm ≡ cold** — a repeated execution served from the
   compiled-plan cache must return the *same rows in the same order* as
   a cold engine (the §5 invariant of DESIGN.md; guards the
   ``PhysicalPlan`` reuse under the structural-hash cache keys);
+* **alpha-renaming is free** — the template with every variable renamed
+  and the text re-serialized from the algebra is a plan-cache *hit* and
+  returns the same rows under the new column names;
 * **pruning ablation invariance** — ``enable_prune=True`` and
   ``False`` (and disabled active pruning) must agree bag-exactly:
   Algorithm 3.2 is an optimization, never a semantics change.
@@ -20,9 +23,13 @@ from __future__ import annotations
 
 import pytest
 
-from repro import BitMatStore, LBREngine
+from repro import BitMatStore, LBREngine, Variable
 from repro.datasets import (ALL_SUITES, generate_dbpedia, generate_lubm,
                             generate_uniprot)
+from repro.plan.hashing import variable_order
+from repro.plan.logical import build_logical, rename_logical, to_ast
+from repro.sparql.ast import Query
+from repro.sparql.parser import parse_query
 
 _GENERATORS = {
     "LUBM": generate_lubm,
@@ -62,6 +69,44 @@ def test_plan_cache_warm_equals_cold(dataset, name, query, stores,
     assert warm.variables == cold.variables
     assert warm.rows == cold.rows, (
         f"{dataset} {name}: warm plan-cache run diverged from cold")
+
+
+def alpha_renamed(text: str) -> tuple[str, dict[Variable, Variable]]:
+    """The template with every variable suffixed ``zz``, re-serialized
+    from the algebra (so the formatting differs too), and the
+    renamed → original variable map."""
+    query = parse_query(text)
+    logical = build_logical(query)
+    mapping = {var: Variable(f"{var}zz") for var in variable_order(logical)}
+    renamed = rename_logical(logical, mapping)
+    rebuilt = Query(pattern=to_ast(renamed.root), select=renamed.select,
+                    distinct=renamed.distinct, prefixes=query.prefixes,
+                    order_by=renamed.order_by, limit=renamed.limit,
+                    offset=renamed.offset)
+    return rebuilt.to_sparql(), {new: old for old, new in mapping.items()}
+
+
+@pytest.mark.parametrize("dataset,name,query", _CASES,
+                         ids=[f"{d}-{n}" for d, n, _ in _CASES])
+def test_alpha_renamed_template_hits_the_plan_cache(dataset, name, query,
+                                                    warm_engines):
+    engine = warm_engines[dataset]
+    original = engine.execute(query)
+    renamed_text, back = alpha_renamed(query)
+    assert renamed_text != query
+    before = engine.plan_cache_stats()
+    renamed = engine.execute(renamed_text)
+    after = engine.plan_cache_stats()
+    assert after["hits"] == before["hits"] + 1, f"{dataset} {name}"
+    assert after["misses"] == before["misses"], f"{dataset} {name}"
+    stats = engine.last_stats
+    assert min(stats.t_plan, stats.t_init, stats.t_prune, stats.t_join) >= 0
+    assert (stats.t_plan + stats.t_init + stats.t_prune + stats.t_join
+            <= stats.t_total + 1e-9)
+    column = {back[var]: i for i, var in enumerate(renamed.variables)}
+    order = [column[var] for var in original.variables]
+    assert [tuple(row[i] for i in order)
+            for row in renamed.rows] == original.rows, f"{dataset} {name}"
 
 
 @pytest.mark.parametrize("dataset,name,query", _CASES,

@@ -175,3 +175,21 @@ class TestDecodeBinding:
 
     def test_decode_none_is_null(self, figure_store):
         assert decode_binding(None, figure_store.dictionary) is NULL
+
+    def test_decode_rows_matches_per_element_decode(self, figure_store):
+        """The columnar batch decode equals decoding cell by cell."""
+        from repro.core.results import decode_rows
+        dictionary = figure_store.dictionary
+        spaces = ("s", "o", "s")
+        # ids are 1-based: index 0 of a term table is unused
+        width = {space: len(dictionary.term_table(space)) - 1
+                 for space in set(spaces)}
+        rows = [tuple(NULL if (i + k) % 5 == 0
+                      else 1 + (i * (k + 3)) % width[space]
+                      for k, space in enumerate(spaces))
+                for i in range(200)]
+        expected = [tuple(decode_binding(None if value is NULL
+                                         else (space, value), dictionary)
+                          for space, value in zip(spaces, row))
+                    for row in rows]
+        assert decode_rows(rows, spaces, dictionary) == expected

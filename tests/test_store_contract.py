@@ -15,7 +15,7 @@ from itertools import product
 
 import pytest
 
-from repro import BitMatStore, Graph, StorageError, Triple, URI
+from repro import BitMatStore, Graph, LBREngine, StorageError, Triple, URI
 from repro.bitmat import (StoreBackend, dump_mmap_bytes, open_store,
                           open_store_bytes, save_mmap_store)
 from repro.update import TripleDelta, overlay
@@ -203,6 +203,16 @@ class TestReadSurface:
             assert found == {triple.s for triple in case.visible
                              if triple.p == predicate
                              and triple.s == triple.o}
+
+    def test_query_answers_match_a_rebuild(self, case):
+        """Opening (or overlaying) and querying answers what parsing the
+        triples and rebuilding the store from scratch answers."""
+        query = ("SELECT * WHERE { ?x <http://x/p> ?y . "
+                 "OPTIONAL { ?x <http://x/q> ?z } }")
+        answer = LBREngine(case.store).execute(query)
+        assert answer.rows
+        assert (answer.as_multiset()
+                == LBREngine(rebuilt(case)).execute(query).as_multiset())
 
     def test_frozen_store_reads_the_same(self, case):
         before = sorted(case.store.iter_triples())
