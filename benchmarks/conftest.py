@@ -6,6 +6,12 @@ and data *structure* at laptop-Python scale (tens of thousands of
 triples — see DESIGN.md §2).  All comparative claims are about shapes,
 not absolute numbers.
 
+Each (engine, query) is timed once per session (``BenchmarkHarness``
+behind the ``*_rows`` fixtures and the OPTIONAL sweep, or
+:func:`repro.bench.timed` for the ablation and scaling variants), LBR
+on a fresh engine; the test ids assert against that one measurement
+and never re-time.
+
 Paper-style tables (6.1–6.4, geometric means, index sizes) are written
 to ``benchmarks/out/`` at the end of the session and echoed to stdout.
 """
@@ -26,8 +32,8 @@ from repro.datasets import (DBPEDIA_QUERIES, LUBM_QUERIES, UNIPROT_QUERIES,
 
 OUT_DIR = os.path.join(os.path.dirname(__file__), "out")
 
-#: measurement runs per query (after one discarded warm-up), §6.1 style
-RUNS = 3
+#: timed runs per engine and query (no warm-up; LBR on a fresh engine)
+RUNS = 1
 
 
 @pytest.fixture(scope="session")
@@ -60,56 +66,73 @@ def dbpedia_store(dbpedia_graph):
     return BitMatStore.build(dbpedia_graph)
 
 
-class _TableSink:
-    """Collects suite reports and writes the paper-style tables."""
+#: the paper's table number for each dataset's query suite
+TABLES = {"LUBM": "6.2", "UniProt": "6.3", "DBPedia": "6.4"}
 
-    def __init__(self) -> None:
-        self.suites = {}
 
-    def add(self, key: str, suite) -> None:
-        self.suites[key] = suite
-
-    def flush(self) -> None:
-        if not self.suites:
-            return
-        os.makedirs(OUT_DIR, exist_ok=True)
-        ordered = [self.suites[key] for key in ("LUBM", "UniProt", "DBPedia")
-                   if key in self.suites]
-        sections = []
-        if ordered:
-            sections.append("TABLE 6.1 — dataset characteristics\n"
-                            + format_characteristics_table(ordered))
-        for number, suite in zip(("6.2", "6.3", "6.4"), ordered):
-            sections.append(f"TABLE {number}\n" + format_query_table(suite))
-        if ordered:
-            sections.append(format_geomean_table(ordered))
-            verification = []
-            for suite in ordered:
-                verification.extend(suite.queries)
-            sections.append("Correctness vs oracle\n"
-                            + format_verification(verification))
-        text = "\n\n".join(sections) + "\n"
-        path = os.path.join(OUT_DIR, "paper_tables.txt")
-        with open(path, "w", encoding="utf-8") as handle:
-            handle.write(text)
-        print("\n" + text)
-        print(f"[tables written to {path}]")
+def _write_tables(suites) -> None:
+    """Render the measured suites as the paper-style tables."""
+    ordered = [suites[key] for key in TABLES if key in suites]
+    if not ordered:
+        return
+    sections = ["TABLE 6.1 — dataset characteristics\n"
+                + format_characteristics_table(ordered)]
+    sections += [f"TABLE {TABLES[suite.dataset]}\n"
+                 + format_query_table(suite) for suite in ordered]
+    sections.append(format_geomean_table(ordered))
+    sections.append("Correctness vs oracle\n" + format_verification(
+        [report for suite in ordered for report in suite.queries]))
+    text = "\n\n".join(sections) + "\n"
+    os.makedirs(OUT_DIR, exist_ok=True)
+    path = os.path.join(OUT_DIR, "paper_tables.txt")
+    with open(path, "w", encoding="utf-8") as handle:
+        handle.write(text)
+    print("\n" + text)
+    print(f"[tables written to {path}]")
 
 
 @pytest.fixture(scope="session")
 def table_sink():
-    sink = _TableSink()
-    yield sink
-    sink.flush()
+    """``{dataset: SuiteReport}``, written out at the end of the session."""
+    suites = {}
+    yield suites
+    _write_tables(suites)
 
 
-def run_and_register(sink: _TableSink, name: str, graph, store,
-                     queries) -> None:
-    """Run the full §6 harness for a dataset once per session."""
-    if name in sink.suites:
-        return
+def _measure(sink, name: str, graph, store):
+    """Measure a dataset's §6 suite once; ``{query name: report}``."""
     harness = BenchmarkHarness(name, graph, runs=RUNS, store=store)
-    sink.add(name, harness.run_suite(queries))
+    sink[name] = harness.run_suite(QUERY_SUITES[name])
+    return {report.query: report for report in sink[name].queries}
+
+
+@pytest.fixture(scope="session")
+def lubm_rows(table_sink, lubm_graph, lubm_store):
+    return _measure(table_sink, "LUBM", lubm_graph, lubm_store)
+
+
+@pytest.fixture(scope="session")
+def uniprot_rows(table_sink, uniprot_graph, uniprot_store):
+    return _measure(table_sink, "UniProt", uniprot_graph, uniprot_store)
+
+
+@pytest.fixture(scope="session")
+def dbpedia_rows(table_sink, dbpedia_graph, dbpedia_store):
+    return _measure(table_sink, "DBPedia", dbpedia_graph, dbpedia_store)
+
+
+def assert_measured(report, engine_name: str) -> None:
+    """One engine's measured cell of a §6 row is complete and sane."""
+    assert report.verified
+    if engine_name == "lbr":
+        # the timed run is memo-cold: init always runs, prune runs
+        # unless init already emptied an absolute-master TP
+        assert report.t_init > 0
+        assert report.t_prune > 0 or report.triples_after_pruning == 0
+        assert report.t_lbr >= report.t_init + report.t_prune
+        assert report.t_warm > 0
+    else:
+        assert getattr(report, f"t_{engine_name}") > 0
 
 
 QUERY_SUITES = {

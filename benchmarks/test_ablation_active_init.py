@@ -7,37 +7,48 @@ procedure with active pruning detects empty results of the query much
 earlier, and abandons further query processing").
 """
 
+import itertools
+
 import pytest
 
 from repro import LBREngine
+from repro.bench import timed
 from repro.datasets import DBPEDIA_QUERIES, LUBM_QUERIES, UNIPROT_QUERIES
 
-EMPTY_CASES = [("uniprot", UNIPROT_QUERIES["Q2"]),
-               ("dbpedia", DBPEDIA_QUERIES["Q2"]),
-               ("dbpedia", DBPEDIA_QUERIES["Q3"])]
+EMPTY_CASES = {"uniprot-Q2": ("uniprot", UNIPROT_QUERIES["Q2"]),
+               "dbpedia-Q2": ("dbpedia", DBPEDIA_QUERIES["Q2"]),
+               "dbpedia-Q3": ("dbpedia", DBPEDIA_QUERIES["Q3"])}
 
 
-@pytest.mark.parametrize("dataset,query", EMPTY_CASES,
-                         ids=["uniprot-Q2", "dbpedia-Q2", "dbpedia-Q3"])
+@pytest.fixture(scope="module")
+def measured(request):
+    """``(seconds, result, stats)`` per (active, case), fresh engines."""
+    out = {}
+    for (case_id, (dataset, query)), active in itertools.product(
+            EMPTY_CASES.items(), ("on", "off")):
+        engine = LBREngine(request.getfixturevalue(f"{dataset}_store"),
+                           enable_active_prune=(active == "on"))
+        seconds, result = timed(lambda: engine.execute(query))
+        out[(active, case_id)] = (seconds, result, engine.last_stats)
+    return out
+
+
+@pytest.mark.parametrize("case_id", EMPTY_CASES)
 @pytest.mark.parametrize("active", ["on", "off"])
-def test_benchmark_active_init(benchmark, request, dataset, query, active):
-    store = request.getfixturevalue(f"{dataset}_store")
-    engine = LBREngine(store, enable_active_prune=(active == "on"))
-    benchmark.group = f"ablation active-init {dataset}"
-    benchmark.pedantic(engine.execute, args=(query,), rounds=3,
-                       iterations=1, warmup_rounds=1)
-
-
-@pytest.mark.parametrize("dataset,query", EMPTY_CASES,
-                         ids=["uniprot-Q2", "dbpedia-Q2", "dbpedia-Q3"])
-def test_empty_results_detected_at_init(request, dataset, query):
-    store = request.getfixturevalue(f"{dataset}_store")
-    engine = LBREngine(store)
-    result = engine.execute(query)
+def test_benchmark_active_init(measured, case_id, active):
+    seconds, result, stats = measured[(active, case_id)]
     assert len(result) == 0
-    assert engine.last_stats.aborted_empty
+    assert stats.t_init > 0
+    assert seconds >= stats.t_init + stats.t_prune
+
+
+@pytest.mark.parametrize("case_id", EMPTY_CASES)
+def test_empty_results_detected_at_init(measured, case_id):
+    _, result, stats = measured[("on", case_id)]
+    assert len(result) == 0
+    assert stats.aborted_empty
     # detection happens before the join phase does any work
-    assert engine.last_stats.t_join == 0.0
+    assert stats.t_join == 0.0
 
 
 @pytest.mark.parametrize("name", ["Q1", "Q4", "Q6"])

@@ -7,9 +7,12 @@ on the unpruned BitMats and needs the nullification/best-match safety
 net; this ablation quantifies both effects.
 """
 
+import statistics
+
 import pytest
 
 from repro import LBREngine
+from repro.bench import timed
 from repro.datasets import LUBM_QUERIES, UNIPROT_QUERIES
 
 CASES = [("LUBM", "Q1"), ("LUBM", "Q2"), ("LUBM", "Q3"),
@@ -20,57 +23,60 @@ def _query(dataset, name):
     return (LUBM_QUERIES if dataset == "LUBM" else UNIPROT_QUERIES)[name]
 
 
+def _cold_run(store, query, pruning: bool):
+    """One timed run on a fresh engine: ``(seconds, result, stats)``."""
+    engine = LBREngine(store, enable_prune=pruning)
+    seconds, result = timed(lambda: engine.execute(query))
+    return seconds, result, engine.last_stats
+
+
+@pytest.fixture(scope="module")
+def measured(lubm_store, uniprot_store):
+    """Every (pruning, dataset, query) of the ablation, timed once."""
+    stores = {"LUBM": lubm_store, "UniProt": uniprot_store}
+    return {(pruning, dataset, name):
+            _cold_run(stores[dataset], _query(dataset, name),
+                      pruning == "on")
+            for pruning in ("on", "off") for dataset, name in CASES}
+
+
 @pytest.mark.parametrize("dataset,name", CASES)
 @pytest.mark.parametrize("pruning", ["on", "off"])
-def test_benchmark_pruning_ablation(benchmark, request, dataset, name,
-                                    pruning):
-    store = request.getfixturevalue(f"{dataset.lower()}_store")
-    engine = LBREngine(store, enable_prune=(pruning == "on"))
-    query = _query(dataset, name)
-    benchmark.group = f"ablation prune {dataset} {name}"
-    benchmark.pedantic(engine.execute, args=(query,), rounds=3,
-                       iterations=1, warmup_rounds=1)
+def test_benchmark_pruning_ablation(measured, dataset, name, pruning):
+    seconds, _, stats = measured[(pruning, dataset, name)]
+    assert stats.t_init > 0
+    assert seconds >= stats.t_init + stats.t_prune + stats.t_join
+    if pruning == "off":
+        # the join reads the BitMats exactly as init left them
+        pruned = measured[("on", dataset, name)][2]
+        assert stats.triples_after_pruning >= pruned.triples_after_pruning
 
 
 @pytest.mark.parametrize("dataset,name", CASES)
-def test_pruning_preserves_results(request, dataset, name):
-    store = request.getfixturevalue(f"{dataset.lower()}_store")
-    query = _query(dataset, name)
-    on = LBREngine(store, enable_prune=True).execute(query)
-    off = LBREngine(store, enable_prune=False).execute(query)
+def test_pruning_preserves_results(measured, dataset, name):
+    on = measured[("on", dataset, name)][1]
+    off = measured[("off", dataset, name)][1]
     assert on.as_multiset() == off.as_multiset()
 
 
-def test_prune_time_is_lightweight(lubm_store):
+def test_prune_time_is_lightweight(measured):
     """Tprune is a small fraction of Ttotal on low-selectivity queries."""
-    engine = LBREngine(lubm_store)
     for name in ("Q1", "Q2", "Q3"):
-        engine.execute(LUBM_QUERIES[name])
-        stats = engine.last_stats
+        stats = measured[("on", "LUBM", name)][2]
         assert stats.t_prune < stats.t_total / 2, name
 
 
 def test_pruning_speeds_up_low_selectivity(lubm_store):
     """On LUBM Q2 the pruned run beats the unpruned run clearly.
 
-    Medians of three interleaved measurements: a single-shot
-    comparison occasionally loses a ~3x margin to one scheduler or GC
-    hiccup on a loaded CI runner.
+    Every run is on a fresh engine, so init and prune are inside the
+    comparison.  Medians of three interleaved measurements: a
+    single-shot comparison occasionally loses a ~3x margin to one
+    scheduler or GC hiccup on a loaded CI runner.
     """
-    import statistics
-    import time
     query = LUBM_QUERIES["Q2"]
-    on_engine = LBREngine(lubm_store, enable_prune=True)
-    off_engine = LBREngine(lubm_store, enable_prune=False)
-    on_engine.execute(query)
-    off_engine.execute(query)
-
     t_on, t_off = [], []
     for _ in range(3):
-        started = time.perf_counter()
-        on_engine.execute(query)
-        t_on.append(time.perf_counter() - started)
-        started = time.perf_counter()
-        off_engine.execute(query)
-        t_off.append(time.perf_counter() - started)
+        t_on.append(_cold_run(lubm_store, query, True)[0])
+        t_off.append(_cold_run(lubm_store, query, False)[0])
     assert statistics.median(t_on) < statistics.median(t_off)

@@ -10,43 +10,23 @@ factors; the per-query shapes are asserted in the table modules).
 
 from repro.bench import geometric_mean
 
-from .conftest import QUERY_SUITES, run_and_register
 
-
-def test_geomean_report(table_sink, lubm_graph, lubm_store, uniprot_graph,
-                        uniprot_store, dbpedia_graph, dbpedia_store):
-    run_and_register(table_sink, "LUBM", lubm_graph, lubm_store,
-                     QUERY_SUITES["LUBM"])
-    run_and_register(table_sink, "UniProt", uniprot_graph, uniprot_store,
-                     QUERY_SUITES["UniProt"])
-    run_and_register(table_sink, "DBPedia", dbpedia_graph, dbpedia_store,
-                     QUERY_SUITES["DBPedia"])
-
+def test_geomean_report(table_sink, lubm_rows, uniprot_rows, dbpedia_rows):
     for name in ("LUBM", "UniProt", "DBPedia"):
-        means = table_sink.suites[name].geometric_means()
+        means = table_sink[name].geometric_means()
         assert set(means) == {"lbr", "naive", "columnstore"}
         assert all(value > 0 for value in means.values())
 
     # LUBM is dominated by the long-running low-selectivity queries,
     # where LBR's advantage shows up in the geometric mean too
-    lubm_means = table_sink.suites["LUBM"].geometric_means()
+    lubm_means = table_sink["LUBM"].geometric_means()
     assert lubm_means["lbr"] < lubm_means["naive"]
 
 
-def test_benchmark_geomean_of_lbr(benchmark, lubm_graph, lubm_store):
-    """Benchmark the full LUBM suite under LBR as one unit."""
-    from repro import LBREngine
-    from repro.datasets import LUBM_QUERIES
-
-    engine = LBREngine(lubm_store)
-
-    def run_suite():
-        times = []
-        for query in LUBM_QUERIES.values():
-            engine.execute(query)
-            times.append(engine.last_stats.t_total)
-        return geometric_mean(times)
-
-    mean = benchmark.pedantic(run_suite, rounds=1, iterations=1,
-                              warmup_rounds=1)
-    assert mean > 0
+def test_benchmark_geomean_of_lbr(table_sink, lubm_rows):
+    """The LUBM suite under LBR as one unit: memo-cold vs memo replay."""
+    cold = geometric_mean([report.t_lbr for report in lubm_rows.values()])
+    warm = geometric_mean([report.t_warm for report in lubm_rows.values()])
+    assert cold == table_sink["LUBM"].geometric_means()["lbr"]
+    # replaying the pruned-state memo skips compile, init and prune
+    assert 0 < warm < cold

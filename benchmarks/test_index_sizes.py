@@ -13,23 +13,28 @@ import pytest
 from .conftest import OUT_DIR
 
 
+@pytest.fixture(scope="module")
+def reports(lubm_store, uniprot_store, dbpedia_store):
+    """``index_size_report`` once per dataset."""
+    return {name: store.index_size_report()
+            for name, store in (("lubm", lubm_store),
+                                ("uniprot", uniprot_store),
+                                ("dbpedia", dbpedia_store))}
+
+
 @pytest.mark.parametrize("dataset", ["lubm", "uniprot", "dbpedia"])
-def test_benchmark_index_size_report(benchmark, dataset, request):
-    store = request.getfixturevalue(f"{dataset}_store")
-    report = benchmark.pedantic(store.index_size_report, rounds=1,
-                                iterations=1)
+def test_benchmark_index_size_report(reports, dataset):
+    report = reports[dataset]
     assert report["hybrid_total"] <= report["rle_total"]
 
 
-def test_hybrid_savings_report(lubm_store, uniprot_store, dbpedia_store,
-                               table_sink):
+def test_hybrid_savings_report(reports):
     lines = ["Index sizes — hybrid vs RLE-only (bytes)",
              f"{'Dataset':<10} {'hybrid':>12} {'RLE-only':>12} "
              f"{'saving':>8}"]
     savings = {}
-    for name, store in (("LUBM", lubm_store), ("UniProt", uniprot_store),
-                        ("DBPedia", dbpedia_store)):
-        report = store.index_size_report()
+    for name in ("LUBM", "UniProt", "DBPedia"):
+        report = reports[name.lower()]
         saving = 1 - report["hybrid_total"] / report["rle_total"]
         savings[name] = saving
         lines.append(f"{name:<10} {report['hybrid_total']:>12,} "
@@ -47,8 +52,8 @@ def test_hybrid_savings_report(lubm_store, uniprot_store, dbpedia_store,
     assert min(savings.values()) >= 0.0
 
 
-def test_per_family_sizes(lubm_store):
-    report = lubm_store.index_size_report()
+def test_per_family_sizes(reports):
+    report = reports["lubm"]
     for family in ("so", "os", "po", "ps"):
         assert report[f"hybrid_{family}"] > 0
         assert report[f"hybrid_{family}"] <= report[f"rle_{family}"]

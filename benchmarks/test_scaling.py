@@ -9,11 +9,11 @@ on Q2 does not shrink with scale.
 """
 
 import os
-import time
 
 import pytest
 
 from repro import BitMatStore, LBREngine, NaiveEngine
+from repro.bench import timed
 from repro.datasets import LUBMConfig, LUBM_QUERIES, generate_lubm
 
 from .conftest import OUT_DIR
@@ -22,45 +22,46 @@ SCALES = [1, 2]
 
 
 @pytest.fixture(scope="module")
-def scaled():
+def scaled(lubm_graph, lubm_store):
+    """``(graph, store)`` per scale; 1 university is the session's LUBM."""
+    out = {1: (lubm_graph, lubm_store)}
+    for universities in SCALES[1:]:
+        graph = generate_lubm(LUBMConfig(universities=universities))
+        out[universities] = (graph, BitMatStore.build(graph))
+    return out
+
+
+@pytest.fixture(scope="module")
+def measured(scaled):
+    """Seconds per (engine, universities, query), LBR on a fresh engine."""
     out = {}
     for universities in SCALES:
-        graph = generate_lubm(LUBMConfig(universities=universities))
-        store = BitMatStore.build(graph)
-        out[universities] = (graph, store)
+        graph, store = scaled[universities]
+        for name in ("Q1", "Q2"):
+            engine = LBREngine(store)
+            out[("lbr", universities, name)] = timed(
+                lambda: engine.execute(LUBM_QUERIES[name]))[0]
+        naive = NaiveEngine(graph)
+        out[("naive", universities, "Q2")] = timed(
+            lambda: naive.execute(LUBM_QUERIES["Q2"]))[0]
     return out
 
 
 @pytest.mark.parametrize("universities", SCALES)
 @pytest.mark.parametrize("query_name", ["Q1", "Q2"])
-def test_benchmark_scaling(benchmark, scaled, universities, query_name):
-    graph, store = scaled[universities]
-    engine = LBREngine(store)
-    benchmark.group = f"scaling {query_name}"
-    benchmark.pedantic(engine.execute,
-                       args=(LUBM_QUERIES[query_name],), rounds=2,
-                       iterations=1, warmup_rounds=1)
+def test_benchmark_scaling(measured, universities, query_name):
+    assert measured[("lbr", universities, query_name)] > 0
 
 
-def _measure(engine, query) -> float:
-    engine.execute(query)
-    started = time.perf_counter()
-    engine.execute(query)
-    return time.perf_counter() - started
-
-
-def test_scaling_series_report(scaled):
+def test_scaling_series_report(scaled, measured):
     lines = ["LUBM scaling (seconds/query, Q2)",
              f"{'universities':>13} {'triples':>10} {'LBR':>10} "
              f"{'naive':>10} {'ratio':>7}"]
     ratios = {}
     for universities in SCALES:
-        graph, store = scaled[universities]
-        lbr = LBREngine(store)
-        naive = NaiveEngine(graph)
-        query = LUBM_QUERIES["Q2"]
-        t_lbr = _measure(lbr, query)
-        t_naive = _measure(naive, query)
+        graph, _ = scaled[universities]
+        t_lbr = measured[("lbr", universities, "Q2")]
+        t_naive = measured[("naive", universities, "Q2")]
         ratios[universities] = t_naive / t_lbr
         lines.append(f"{universities:>13} {len(graph):>10,} "
                      f"{t_lbr:>10.3f} {t_naive:>10.3f} "

@@ -9,13 +9,13 @@ cost grows with OPTIONAL count.
 """
 
 import os
-import time
 
 import pytest
 
-from repro import ColumnStoreEngine, LBREngine, NaiveEngine
+from repro import NULL, LBREngine
+from repro.bench import BenchmarkHarness
 
-from .conftest import OUT_DIR
+from .conftest import OUT_DIR, assert_measured
 
 _PREFIX = (
     "PREFIX dbpprop: <http://dbpedia.org/property/>\n"
@@ -45,42 +45,31 @@ def sweep_query(optionals: int) -> str:
 
 
 @pytest.fixture(scope="module")
-def engines(dbpedia_graph, dbpedia_store):
-    return {
-        "lbr": LBREngine(dbpedia_store),
-        "naive": NaiveEngine(dbpedia_graph),
-        "columnstore": ColumnStoreEngine(dbpedia_graph),
-    }
+def measured(dbpedia_graph, dbpedia_store):
+    """One §6 row per #OPTIONALs, each engine timed once."""
+    harness = BenchmarkHarness("sweep", dbpedia_graph, runs=1,
+                               store=dbpedia_store)
+    return {optionals: harness.run_query(str(optionals),
+                                         sweep_query(optionals))
+            for optionals in SWEEP}
 
 
 @pytest.mark.parametrize("optionals", SWEEP)
 @pytest.mark.parametrize("engine_name", ["lbr", "naive", "columnstore"])
-def test_benchmark_optional_sweep(benchmark, engines, engine_name,
-                                  optionals):
-    engine = engines[engine_name]
-    query = sweep_query(optionals)
-    benchmark.group = f"sweep {optionals} OPTIONALs"
-    benchmark.pedantic(engine.execute, args=(query,), rounds=3,
-                       iterations=1, warmup_rounds=1)
+def test_benchmark_optional_sweep(measured, engine_name, optionals):
+    assert_measured(measured[optionals], engine_name)
 
 
-def test_sweep_series_report(engines):
+def test_sweep_series_report(measured):
     lines = ["OPTIONAL-count sweep over companies (seconds/query)",
              f"{'#OPT':>5} {'LBR':>10} {'naive':>10} {'columnstore':>12} "
              f"{'#results':>9}"]
     for optionals in SWEEP:
-        query = sweep_query(optionals)
-        timings = {}
-        results = None
-        for name, engine in engines.items():
-            engine.execute(query)  # warm
-            started = time.perf_counter()
-            result = engine.execute(query)
-            timings[name] = time.perf_counter() - started
-            results = len(result)
-        lines.append(f"{optionals:>5} {timings['lbr']:>10.4f} "
-                     f"{timings['naive']:>10.4f} "
-                     f"{timings['columnstore']:>12.4f} {results:>9,}")
+        report = measured[optionals]
+        lines.append(f"{optionals:>5} {report.t_lbr:>10.4f} "
+                     f"{report.t_naive:>10.4f} "
+                     f"{report.t_columnstore:>12.4f} "
+                     f"{report.num_results:>9,}")
     text = "\n".join(lines)
     os.makedirs(OUT_DIR, exist_ok=True)
     with open(os.path.join(OUT_DIR, "optional_sweep.txt"), "w",
@@ -89,17 +78,11 @@ def test_sweep_series_report(engines):
     print("\n" + text)
 
 
-def test_sweep_results_agree(engines):
-    for optionals in SWEEP:
-        query = sweep_query(optionals)
-        reference = engines["naive"].execute(query).as_multiset()
-        assert engines["lbr"].execute(query).as_multiset() == reference
-        assert engines["columnstore"].execute(query).as_multiset() == \
-            reference
+def test_sweep_results_agree(measured):
+    assert all(report.verified for report in measured.values())
 
 
-def test_every_result_row_keeps_master_bindings(engines):
-    result = engines["lbr"].execute(sweep_query(8))
+def test_every_result_row_keeps_master_bindings(dbpedia_store):
+    result = LBREngine(dbpedia_store).execute(sweep_query(8))
     comment_index = result.variables.index("v1")
-    from repro import NULL
     assert all(row[comment_index] is not NULL for row in result)

@@ -3,37 +3,28 @@
 The paper reports LUBM 1.33B / UniProt 845M / DBPedia 565M triples; the
 reproduction generates structurally equivalent graphs at Python scale
 and regenerates the same four columns (see ``benchmarks/out/``).
+Graphs and stores are the session fixtures; nothing is regenerated.
 """
 
-from repro import BitMatStore
 
-
-def test_benchmark_lubm_generation(benchmark):
-    from repro.datasets import generate_lubm
-    graph = benchmark.pedantic(generate_lubm, rounds=1, iterations=1)
-    chars = graph.characteristics()
+def test_benchmark_lubm_generation(lubm_graph):
+    chars = lubm_graph.characteristics()
     assert chars["predicates"] >= 15
     assert chars["triples"] > 10_000
 
 
-def test_benchmark_uniprot_generation(benchmark):
-    from repro.datasets import generate_uniprot
-    graph = benchmark.pedantic(generate_uniprot, rounds=1, iterations=1)
-    assert graph.characteristics()["triples"] > 10_000
+def test_benchmark_uniprot_generation(uniprot_graph):
+    assert uniprot_graph.characteristics()["triples"] > 10_000
 
 
-def test_benchmark_dbpedia_generation(benchmark):
-    from repro.datasets import generate_dbpedia
-    graph = benchmark.pedantic(generate_dbpedia, rounds=1, iterations=1)
-    chars = graph.characteristics()
+def test_benchmark_dbpedia_generation(dbpedia_graph):
+    chars = dbpedia_graph.characteristics()
     # DBPedia's signature: a long predicate tail (57,453 in the paper)
     assert chars["predicates"] > 100
 
 
-def test_benchmark_store_build(benchmark, lubm_graph):
-    store = benchmark.pedantic(BitMatStore.build, args=(lubm_graph,),
-                               rounds=1, iterations=1)
-    assert store.num_triples == len(lubm_graph)
+def test_benchmark_store_build(lubm_graph, lubm_store):
+    assert lubm_store.num_triples == len(lubm_graph)
 
 
 def test_characteristics_shape(lubm_graph, uniprot_graph, dbpedia_graph):

@@ -9,62 +9,41 @@ for Q4/Q5.  The paper-style table with all metric columns lands in
 
 import pytest
 
-from repro import ColumnStoreEngine, LBREngine, NaiveEngine
-from repro.datasets import LUBM_QUERIES
-
-from .conftest import QUERY_SUITES, run_and_register
-
-QUERIES = list(LUBM_QUERIES)
+from .conftest import QUERY_SUITES, assert_measured
 
 
-@pytest.fixture(scope="module")
-def engines(lubm_graph, lubm_store):
-    return {
-        "lbr": LBREngine(lubm_store),
-        "naive": NaiveEngine(lubm_graph),
-        "columnstore": ColumnStoreEngine(lubm_graph),
-    }
-
-
-@pytest.mark.parametrize("query_name", QUERIES)
+@pytest.mark.parametrize("query_name", QUERY_SUITES["LUBM"])
 @pytest.mark.parametrize("engine_name", ["lbr", "naive", "columnstore"])
-def test_benchmark_lubm(benchmark, engines, engine_name, query_name):
-    engine = engines[engine_name]
-    query = LUBM_QUERIES[query_name]
-    benchmark.group = f"LUBM {query_name}"
-    benchmark.pedantic(engine.execute, args=(query,), rounds=3,
-                       iterations=1, warmup_rounds=1)
+def test_benchmark_lubm(lubm_rows, engine_name, query_name):
+    assert_measured(lubm_rows[query_name], engine_name)
 
 
-def test_table_6_2_report(table_sink, lubm_graph, lubm_store):
-    run_and_register(table_sink, "LUBM", lubm_graph, lubm_store,
-                     QUERY_SUITES["LUBM"])
-    suite = table_sink.suites["LUBM"]
-    by_name = {r.query: r for r in suite.queries}
+def test_table_6_2_report(lubm_rows):
+    reports = lubm_rows.values()
 
     # every query verified against the oracle
-    assert all(r.verified for r in suite.queries)
+    assert all(r.verified for r in reports)
 
     # paper shape: LBR several-fold faster on the low-selectivity
     # cyclic queries Q2 and Q3
     for name in ("Q2", "Q3"):
-        report = by_name[name]
+        report = lubm_rows[name]
         assert report.t_lbr * 2 < report.t_naive, name
         assert report.t_lbr * 2 < report.t_columnstore, name
 
     # paper shape: best-match needed exactly for Q4/Q5
     for name, expected in (("Q1", False), ("Q2", False), ("Q3", False),
                            ("Q4", True), ("Q5", True), ("Q6", False)):
-        assert by_name[name].best_match_required == expected, name
+        assert lubm_rows[name].best_match_required == expected, name
 
     # paper shape: selective queries are at par — the gap to the best
     # engine stays within a few milliseconds
     for name in ("Q4", "Q5", "Q6"):
-        report = by_name[name]
+        report = lubm_rows[name]
         best = min(report.t_naive, report.t_columnstore)
         assert report.t_lbr - best < 0.05, name
 
     # pruning removes a large share of the initial triples on Q1–Q3
     for name in ("Q1", "Q2", "Q3"):
-        report = by_name[name]
+        report = lubm_rows[name]
         assert report.triples_after_pruning < report.initial_triples / 2

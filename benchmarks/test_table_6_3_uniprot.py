@@ -9,61 +9,40 @@ all seven queries are acyclic — best-match is never required.
 
 import pytest
 
-from repro import ColumnStoreEngine, LBREngine, NaiveEngine
-from repro.datasets import UNIPROT_QUERIES
-
-from .conftest import QUERY_SUITES, run_and_register
-
-QUERIES = list(UNIPROT_QUERIES)
+from .conftest import QUERY_SUITES, assert_measured
 
 
-@pytest.fixture(scope="module")
-def engines(uniprot_graph, uniprot_store):
-    return {
-        "lbr": LBREngine(uniprot_store),
-        "naive": NaiveEngine(uniprot_graph),
-        "columnstore": ColumnStoreEngine(uniprot_graph),
-    }
-
-
-@pytest.mark.parametrize("query_name", QUERIES)
+@pytest.mark.parametrize("query_name", QUERY_SUITES["UniProt"])
 @pytest.mark.parametrize("engine_name", ["lbr", "naive", "columnstore"])
-def test_benchmark_uniprot(benchmark, engines, engine_name, query_name):
-    engine = engines[engine_name]
-    query = UNIPROT_QUERIES[query_name]
-    benchmark.group = f"UniProt {query_name}"
-    benchmark.pedantic(engine.execute, args=(query,), rounds=3,
-                       iterations=1, warmup_rounds=1)
+def test_benchmark_uniprot(uniprot_rows, engine_name, query_name):
+    assert_measured(uniprot_rows[query_name], engine_name)
 
 
-def test_table_6_3_report(table_sink, uniprot_graph, uniprot_store):
-    run_and_register(table_sink, "UniProt", uniprot_graph, uniprot_store,
-                     QUERY_SUITES["UniProt"])
-    suite = table_sink.suites["UniProt"]
-    by_name = {r.query: r for r in suite.queries}
+def test_table_6_3_report(uniprot_rows):
+    reports = uniprot_rows.values()
 
-    assert all(r.verified for r in suite.queries)
+    assert all(r.verified for r in reports)
 
     # all seven queries are acyclic: never best-match (Table 6.3)
-    assert not any(r.best_match_required for r in suite.queries)
+    assert not any(r.best_match_required for r in reports)
 
     # Q2 empty, detected early: zero triples left, way faster than the
     # baselines which discover emptiness much later
-    q2 = by_name["Q2"]
+    q2 = uniprot_rows["Q2"]
     assert q2.num_results == 0
     assert q2.triples_after_pruning == 0
     assert q2.t_lbr < q2.t_naive
     assert q2.t_lbr < q2.t_columnstore
 
     # Q4: the semi-join empties the slave — every row NULL-padded
-    q4 = by_name["Q4"]
+    q4 = uniprot_rows["Q4"]
     assert q4.num_results > 0
     assert q4.results_with_nulls == q4.num_results
 
     # Q5 hinges on the selective modified-date TP: tiny result
-    assert by_name["Q5"].num_results < by_name["Q1"].num_results
+    assert uniprot_rows["Q5"].num_results < uniprot_rows["Q1"].num_results
 
     # pruning bites on the low-selectivity queries
     for name in ("Q1", "Q3", "Q5"):
-        report = by_name[name]
+        report = uniprot_rows[name]
         assert report.triples_after_pruning < report.initial_triples / 2

@@ -8,58 +8,37 @@ within milliseconds of each other; all six queries acyclic.
 
 import pytest
 
-from repro import ColumnStoreEngine, LBREngine, NaiveEngine
-from repro.datasets import DBPEDIA_QUERIES
-
-from .conftest import QUERY_SUITES, run_and_register
-
-QUERIES = list(DBPEDIA_QUERIES)
+from .conftest import QUERY_SUITES, assert_measured
 
 
-@pytest.fixture(scope="module")
-def engines(dbpedia_graph, dbpedia_store):
-    return {
-        "lbr": LBREngine(dbpedia_store),
-        "naive": NaiveEngine(dbpedia_graph),
-        "columnstore": ColumnStoreEngine(dbpedia_graph),
-    }
-
-
-@pytest.mark.parametrize("query_name", QUERIES)
+@pytest.mark.parametrize("query_name", QUERY_SUITES["DBPedia"])
 @pytest.mark.parametrize("engine_name", ["lbr", "naive", "columnstore"])
-def test_benchmark_dbpedia(benchmark, engines, engine_name, query_name):
-    engine = engines[engine_name]
-    query = DBPEDIA_QUERIES[query_name]
-    benchmark.group = f"DBPedia {query_name}"
-    benchmark.pedantic(engine.execute, args=(query,), rounds=3,
-                       iterations=1, warmup_rounds=1)
+def test_benchmark_dbpedia(dbpedia_rows, engine_name, query_name):
+    assert_measured(dbpedia_rows[query_name], engine_name)
 
 
-def test_table_6_4_report(table_sink, dbpedia_graph, dbpedia_store):
-    run_and_register(table_sink, "DBPedia", dbpedia_graph, dbpedia_store,
-                     QUERY_SUITES["DBPedia"])
-    suite = table_sink.suites["DBPedia"]
-    by_name = {r.query: r for r in suite.queries}
+def test_table_6_4_report(dbpedia_rows):
+    reports = dbpedia_rows.values()
 
-    assert all(r.verified for r in suite.queries)
+    assert all(r.verified for r in reports)
 
     # all six queries acyclic: never best-match (Table 6.4)
-    assert not any(r.best_match_required for r in suite.queries)
+    assert not any(r.best_match_required for r in reports)
 
     # Q2 and Q3 empty, detected during init with zero triples kept
     for name in ("Q2", "Q3"):
-        report = by_name[name]
+        report = dbpedia_rows[name]
         assert report.num_results == 0, name
         assert report.triples_after_pruning == 0, name
 
     # Q1 is the low-selectivity query: most results carry NULLs and a
     # large share of the initial triples is pruned
-    q1 = by_name["Q1"]
+    q1 = dbpedia_rows["Q1"]
     assert q1.num_results > 100
     assert q1.results_with_nulls > q1.num_results / 2
     assert q1.triples_after_pruning < q1.initial_triples / 2
 
     # Q6 (eight OPTIONAL patterns) returns a small all-NULL-ish set
-    q6 = by_name["Q6"]
+    q6 = dbpedia_rows["Q6"]
     assert 0 < q6.num_results < 100
     assert q6.results_with_nulls == q6.num_results

@@ -1,8 +1,9 @@
 """LUBM university analytics: LBR vs the baselines on Appendix E.1.
 
-Generates a mini-LUBM dataset, runs the six evaluation queries on all
-three engines, and prints a Table 6.2-style comparison — the shape to
-look for: LBR far ahead on the low-selectivity cyclic queries Q1–Q3,
+Generates a mini-LUBM dataset, runs the six evaluation queries once on
+each of the three engines (LBR on a fresh engine, so init and prune are
+timed), and prints a Table 6.2-style comparison — the shape to look
+for: LBR far ahead on the low-selectivity cyclic queries Q1–Q3,
 at par on the selective Q4–Q6, best-match only for Q4/Q5.
 
 Run:  python examples/lubm_analytics.py [universities]
@@ -24,7 +25,7 @@ def main() -> None:
     print(f"  {chars['triples']:,} triples, {chars['subjects']:,} subjects, "
           f"{chars['predicates']} predicates, {chars['objects']:,} objects\n")
 
-    harness = BenchmarkHarness("LUBM", graph, runs=3)
+    harness = BenchmarkHarness("LUBM", graph, runs=1)
     suite = harness.run_suite(LUBM_QUERIES)
     print(format_query_table(suite))
 

@@ -7,9 +7,7 @@ from typing import Sequence
 from .harness import QueryReport, SuiteReport
 
 
-def _fmt_time(value: float | None) -> str:
-    if value is None:
-        return "-"
+def _fmt_time(value: float) -> str:
     if value < 0.01:
         return f"{value * 1000:.2f}ms"
     return f"{value:.3f}"
@@ -32,19 +30,18 @@ def format_characteristics_table(
 def format_query_table(suite: SuiteReport) -> str:
     """One of Tables 6.2–6.4 (best total time per row starred)."""
     header = (f"{'':<4} {'Tplan':>8} {'Tinit':>8} {'Tprune':>8} "
-              f"{'Ttotal':>9} "
+              f"{'Ttotal':>9} {'Twarm':>8} "
               f"{'Tnaive':>9} {'Tcol':>9} {'#initial':>10} {'#pruned':>10} "
               f"{'#results':>9} {'#nulls':>8} {'best-match':>10}")
-    lines = [f"{suite.dataset} — query processing times (seconds, "
-             f"warm cache, averaged)",
+    lines = [f"{suite.dataset} — query processing times (seconds; LBR "
+             f"on a fresh engine, Twarm = memo replay on the same engine)",
              header, "-" * len(header)]
     for report in suite.queries:
         times = {"lbr": report.t_lbr, "naive": report.t_naive,
                  "col": report.t_columnstore}
-        valid = {k: v for k, v in times.items() if v is not None}
-        best = min(valid, key=valid.get) if valid else ""
+        best = min(times, key=times.get)
 
-        def cell(engine: str, value: float | None) -> str:
+        def cell(engine: str, value: float) -> str:
             text = _fmt_time(value)
             return f"{text}*" if engine == best else text
 
@@ -53,6 +50,7 @@ def format_query_table(suite: SuiteReport) -> str:
             f"{_fmt_time(report.t_init):>8} "
             f"{_fmt_time(report.t_prune):>8} "
             f"{cell('lbr', report.t_lbr):>9} "
+            f"{_fmt_time(report.t_warm):>8} "
             f"{cell('naive', report.t_naive):>9} "
             f"{cell('col', report.t_columnstore):>9} "
             f"{report.initial_triples:>10,} "
@@ -71,17 +69,15 @@ def format_geomean_table(suites: Sequence[SuiteReport]) -> str:
     for suite in suites:
         means = suite.geometric_means()
         lines.append(
-            f"{suite.dataset:<10} {_fmt_time(means.get('lbr')):>10} "
-            f"{_fmt_time(means.get('naive')):>10} "
-            f"{_fmt_time(means.get('columnstore')):>12}")
+            f"{suite.dataset:<10} {_fmt_time(means['lbr']):>10} "
+            f"{_fmt_time(means['naive']):>10} "
+            f"{_fmt_time(means['columnstore']):>12}")
     return "\n".join(lines)
 
 
 def format_verification(reports: Sequence[QueryReport]) -> str:
-    """One line per query: did LBR match the oracle bag-exactly?"""
-    lines = []
-    for report in reports:
-        status = {True: "OK", False: "MISMATCH", None: "unchecked"}
-        lines.append(f"{report.dataset} {report.query}: "
-                     f"{status[report.verified]}")
-    return "\n".join(lines)
+    """One line per query: did LBR and the columnstore match the naive
+    oracle bag-exactly?"""
+    return "\n".join(f"{report.dataset} {report.query}: "
+                     f"{'OK' if report.verified else 'MISMATCH'}"
+                     for report in reports)

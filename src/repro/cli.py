@@ -98,7 +98,9 @@ def _build_parser() -> argparse.ArgumentParser:
     bench = commands.add_parser(
         "bench", help="run an Appendix E suite on all three engines")
     bench.add_argument("dataset", choices=["lubm", "uniprot", "dbpedia"])
-    bench.add_argument("--runs", type=int, default=3)
+    bench.add_argument("--runs", type=_positive_int, default=3,
+                       help="timed runs per engine and query, each LBR "
+                            "run on a fresh engine (default: 3)")
 
     fuzz = commands.add_parser(
         "fuzz",
@@ -369,6 +371,13 @@ def _info(args) -> int:
           f"predicates={chars['predicates']:,} "
           f"objects={chars['objects']:,}")
     return 0
+
+
+def _positive_int(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
 
 
 def _bench(args) -> int:

@@ -30,8 +30,8 @@ class TestHarness:
         assert report.dataset == "Tiny"
         assert report.num_results == 2
         assert report.t_lbr > 0
-        assert report.t_naive is not None and report.t_naive > 0
-        assert report.t_columnstore is not None
+        assert report.t_naive > 0
+        assert report.t_columnstore > 0
         assert report.initial_triples == 4
         assert report.verified is True
 
@@ -46,15 +46,36 @@ class TestHarness:
         assert set(means) == {"lbr", "naive", "columnstore"}
         assert all(value > 0 for value in means.values())
 
-    def test_engines_can_be_disabled(self):
+    def test_each_timed_run_is_memo_cold(self, harness, monkeypatch):
+        import repro.bench.harness as harness_module
+        calls = {"lbr": 0, "naive": 0, "columnstore": 0}
+        engine_class = harness_module.LBREngine
+
+        def fresh_engine(store):
+            calls["lbr"] += 1
+            return engine_class(store)
+
+        monkeypatch.setattr(harness_module, "LBREngine", fresh_engine)
+        twice = BenchmarkHarness("Tiny", harness.graph, runs=2,
+                                 store=harness.store)
+        for name in ("naive", "columnstore"):
+            def counted(query, _name=name,
+                        _execute=getattr(twice, name).execute):
+                calls[_name] += 1
+                return _execute(query)
+            monkeypatch.setattr(getattr(twice, name), "execute", counted)
+        report = twice.run_query("Q1", QUERY)
+        # a fresh LBR engine per timed run, each baseline run `runs` times
+        assert calls == {"lbr": 2, "naive": 2, "columnstore": 2}
+        assert report.t_init > 0 and report.t_prune > 0
+        assert report.t_lbr >= report.t_init + report.t_prune
+        assert report.t_warm > 0
+
+    def test_runs_below_one_rejected(self):
         graph = Graph(triples(("a", "p", "b")))
-        harness = BenchmarkHarness("T", graph, runs=1, with_naive=False,
-                                   with_columnstore=False, verify=False)
-        report = harness.run_query("Q", f"PREFIX ex: <{EX}>\n"
-                                        f"SELECT * WHERE {{ ?s ex:p ?o }}")
-        assert report.t_naive is None
-        assert report.t_columnstore is None
-        assert report.verified is None
+        for runs in (0, -2):
+            with pytest.raises(ValueError, match="at least 1"):
+                BenchmarkHarness("T", graph, runs=runs)
 
 
 class TestGeometricMean:

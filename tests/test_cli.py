@@ -278,3 +278,26 @@ class TestGenerate:
               "--scale", "0.05"])
         with open(first) as handle_a, open(second) as handle_b:
             assert handle_a.read() == handle_b.read()
+
+
+class TestBench:
+    def test_runs_below_one_is_a_usage_error(self, capsys):
+        for runs in ("0", "-2"):
+            with pytest.raises(SystemExit) as exit_info:
+                main(["bench", "uniprot", "--runs", runs])
+            assert exit_info.value.code == 2
+            assert "error: argument --runs: must be at least 1" \
+                in capsys.readouterr().err
+
+    def test_tiny_dataset_prints_the_table(self, monkeypatch, capsys):
+        import repro.datasets as datasets
+        generate = datasets.generate_uniprot
+        monkeypatch.setattr(
+            datasets, "generate_uniprot",
+            lambda: generate(datasets.UniProtConfig(proteins=10)))
+        assert main(["bench", "uniprot", "--runs", "1"]) == 0
+        out = capsys.readouterr().out
+        assert "UniProt — query processing times" in out
+        for token in ("Tinit", "Tprune", "Twarm", "Tcol"):
+            assert token in out
+        assert all(f"\nQ{n} " in out for n in range(1, 8))
